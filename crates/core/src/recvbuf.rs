@@ -181,28 +181,20 @@ impl RecvBuffer {
 
     fn insert_range(&mut self, start: usize, end: usize) {
         debug_assert!(start < end);
-        let mut new = (start, end);
-        let mut out: Vec<(usize, usize)> = Vec::with_capacity(self.ranges.len() + 1);
-        for &r in &self.ranges {
-            if r.1 < new.0 {
-                out.push(r);
-            } else if new.1 < r.0 {
-                // insert before r later
-                if new.0 != usize::MAX {
-                    out.push(new);
-                    new = (usize::MAX, usize::MAX);
-                }
-                out.push(r);
-            } else {
-                // overlap/adjacent: merge
-                new = (new.0.min(r.0), new.1.max(r.1));
-            }
+        // In place, so steady-state reordering allocates nothing: the
+        // ranges wholly before the new one stay, the run it overlaps or
+        // touches merges into it, and the rest stay after it.
+        let r = &mut self.ranges;
+        let lo = r.iter().position(|x| x.1 >= start).unwrap_or(r.len());
+        let hi = lo + r[lo..].iter().take_while(|x| x.0 <= end).count();
+        if lo == hi {
+            r.insert(lo, (start, end));
+        } else {
+            r[lo] = r[lo..hi]
+                .iter()
+                .fold((start, end), |n, x| (n.0.min(x.0), n.1.max(x.1)));
+            r.drain(lo + 1..hi);
         }
-        if new.0 != usize::MAX {
-            out.push(new);
-        }
-        out.sort_unstable();
-        self.ranges = out;
     }
 
     /// Reads up to `out.len()` in-sequence bytes into `out`, consuming

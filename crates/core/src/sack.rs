@@ -130,27 +130,21 @@ impl SackScoreboard {
         out
     }
 
+    /// Merges `start..end` into the sorted, disjoint ranges in place:
+    /// the ranges wholly before it stay, the run it overlaps or touches
+    /// merges into it, and the rest stay after it.
     fn insert(&mut self, start: TcpSeq, end: TcpSeq) {
-        let mut new = (start, end);
-        let mut out = Vec::with_capacity(self.ranges.len() + 1);
-        let mut inserted = false;
-        for &r in &self.ranges {
-            if r.1.lt(new.0) {
-                out.push(r);
-            } else if new.1.lt(r.0) {
-                if !inserted {
-                    out.push(new);
-                    inserted = true;
-                }
-                out.push(r);
-            } else {
-                new = (new.0.min(r.0), new.1.max(r.1));
-            }
+        let r = &mut self.ranges;
+        let lo = r.iter().position(|x| !x.1.lt(start)).unwrap_or(r.len());
+        let hi = lo + r[lo..].iter().take_while(|x| !end.lt(x.0)).count();
+        if lo == hi {
+            r.insert(lo, (start, end));
+        } else {
+            r[lo] = r[lo..hi]
+                .iter()
+                .fold((start, end), |n, x| (n.0.min(x.0), n.1.max(x.1)));
+            r.drain(lo + 1..hi);
         }
-        if !inserted {
-            out.push(new);
-        }
-        self.ranges = out;
     }
 
     /// Discards ranges at or below the new `snd_una` (cumulative ACK).

@@ -89,14 +89,22 @@ impl SendBuffer {
         (&self.buf[start..start + first], &self.buf[..len - first])
     }
 
-    /// Copies `len` bytes at `offset` into a fresh Vec (used where the
-    /// driving stack needs owned bytes; tests compare against `view`).
+    /// Copies `len` bytes at `offset` into a fresh Vec (tests compare
+    /// it against `view`).
     pub fn copy_out(&self, offset: usize, len: usize) -> Vec<u8> {
-        let (a, b) = self.view(offset, len);
-        let mut v = Vec::with_capacity(a.len() + b.len());
-        v.extend_from_slice(a);
-        v.extend_from_slice(b);
+        let mut v = Vec::new();
+        self.copy_into(offset, len, &mut v);
         v
+    }
+
+    /// Copies `len` bytes at `offset` into `out`, replacing its
+    /// contents: the segment payload reuses `out`'s allocation.
+    pub fn copy_into(&self, offset: usize, len: usize, out: &mut Vec<u8>) {
+        let (a, b) = self.view(offset, len);
+        out.clear();
+        out.reserve(a.len() + b.len());
+        out.extend_from_slice(a);
+        out.extend_from_slice(b);
     }
 }
 

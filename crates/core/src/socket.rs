@@ -181,6 +181,11 @@ pub struct TcpSocket {
     /// Timestamp clock cache (last TSval generated).
     last_ts_value: u32,
 
+    /// Payload and SACK-block storage of segments handed back by
+    /// [`TcpSocket::recycle`]; the next segments reuse it.
+    spare_payload: Vec<u8>,
+    spare_sack: Vec<SackBlock>,
+
     /// Statistics.
     pub stats: TcpStats,
     /// Optional cwnd trace (Figure 7a).
@@ -250,6 +255,8 @@ impl TcpSocket {
             keep_deadline: None,
             keep_probes_sent: 0,
             last_ts_value: 1,
+            spare_payload: Vec::new(),
+            spare_sack: Vec::new(),
             stats: TcpStats::default(),
             cwnd_trace: CwndTrace::new(),
             rtt_trace: RttTrace::new(),
@@ -1214,6 +1221,20 @@ impl TcpSocket {
         }
     }
 
+    /// Hands back a segment from [`TcpSocket::poll_transmit`] once it
+    /// has been encoded. Its payload and SACK-block storage carry the
+    /// next segments, so a steady transfer stops allocating per
+    /// segment. Optional: a segment that is simply dropped costs an
+    /// allocation.
+    pub fn recycle(&mut self, seg: Segment) {
+        if seg.payload.capacity() > self.spare_payload.capacity() {
+            self.spare_payload = seg.payload;
+        }
+        if seg.sack_blocks.capacity() > self.spare_sack.capacity() {
+            self.spare_sack = seg.sack_blocks;
+        }
+    }
+
     fn poll_ack_only(&mut self, now: Instant) -> Option<Segment> {
         if self.ack_now && !matches!(self.state, TcpState::Closed) {
             Some(self.emit_ack(now))
@@ -1426,7 +1447,8 @@ impl TcpSocket {
 
     fn emit_range(&mut self, seq: TcpSeq, len: usize, now: Instant, is_rexmit: bool) -> Segment {
         let off = seq.distance_from(self.snd_una) as usize;
-        let payload = self.sndbuf.copy_out(off, len);
+        let mut payload = std::mem::take(&mut self.spare_payload);
+        self.sndbuf.copy_into(off, len, &mut payload);
         let mut flags = Flags::ACK;
         // PSH when this segment drains the currently buffered data.
         if off + payload.len() >= self.sndbuf.len() {
@@ -1487,10 +1509,12 @@ impl TcpSocket {
         self.attach_sack_blocks(seg);
     }
 
-    fn attach_sack_blocks(&self, seg: &mut Segment) {
+    fn attach_sack_blocks(&mut self, seg: &mut Segment) {
         if !self.sack_enabled || !self.rcvbuf.has_out_of_order() {
             return;
         }
+        seg.sack_blocks = std::mem::take(&mut self.spare_sack);
+        seg.sack_blocks.clear();
         // Most recent ranges first per RFC 2018; we report up to 3 in
         // ascending order (sufficient for a correct sender scoreboard).
         for &(s, e) in self.rcvbuf.out_of_order_ranges().iter().take(3) {

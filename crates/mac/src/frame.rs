@@ -120,13 +120,22 @@ impl MacFrame {
     /// Builds a data-request command (sleepy child polls its parent).
     pub fn data_request(src: NodeId, dst: NodeId, seq: u8) -> Self {
         MacFrame {
+            payload: vec![CMD_DATA_REQUEST],
+            ..Self::command(src, dst, seq)
+        }
+    }
+
+    /// Builds a command frame with an empty payload; the command id
+    /// and arguments are the payload (see [`MacFrame::data_request`]).
+    pub fn command(src: NodeId, dst: NodeId, seq: u8) -> Self {
+        MacFrame {
             frame_type: FrameType::Command,
             seq,
             dst,
             src,
             pending: false,
             ack_request: true,
-            payload: vec![CMD_DATA_REQUEST],
+            payload: Vec::new(),
         }
     }
 

@@ -10,10 +10,13 @@
 //!
 //! A [`FramePool`] recycles the underlying allocations: when the last
 //! reference to a buffer is handed back via [`FramePool::reclaim`], its
-//! heap storage (the `Arc` block and the encoding `Vec`) is reused for
-//! the next frame instead of going back to the allocator. The steady
-//! state of a busy node — one frame in flight, a handful queued — runs
-//! entirely out of the pool.
+//! heap storage (the `Arc` block, the payload `Vec` and the encoding
+//! `Vec`) is reused for the next frame instead of going back to the
+//! allocator. [`FramePool::alloc_with`] writes the next frame's payload
+//! straight into the recycled payload storage, so a spare last used by
+//! an empty-payload link ACK still brings a data frame its capacity.
+//! The steady state of a busy node — one frame in flight, a handful
+//! queued — runs entirely out of the pool.
 //!
 //! # Ownership rules
 //!
@@ -24,7 +27,7 @@
 //!   `FrameBuf` is always correct, and `reclaim` quietly declines
 //!   buffers that still have other holders.
 
-use crate::frame::MacFrame;
+use crate::frame::{MacFrame, MAX_MAC_PAYLOAD, MAX_MPDU};
 use std::sync::Arc;
 
 /// An immutable MAC frame plus its cached wire encoding.
@@ -89,21 +92,40 @@ impl FramePool {
     }
 
     /// Builds a buffer for `frame`, reusing a spare allocation when one
-    /// is available.
-    pub fn alloc(&mut self, frame: MacFrame) -> FrameBuf {
-        match self.spares.pop() {
-            Some(mut arc) => {
-                let d = Arc::get_mut(&mut arc).expect("spares are uniquely owned");
-                d.frame = frame;
-                d.frame.encode_into(&mut d.encoded);
+    /// is available. Copies the payload into the spare's storage; the
+    /// datapath fills it in place with [`FramePool::alloc_with`].
+    pub fn alloc(&mut self, mut frame: MacFrame) -> FrameBuf {
+        let payload = std::mem::take(&mut frame.payload);
+        self.alloc_with(frame, |p| p.extend_from_slice(&payload))
+    }
+
+    /// Builds a buffer for `header` (its payload is ignored) whose
+    /// payload `fill` appends to an empty, recycled payload buffer.
+    /// Fresh buffers reserve a full frame, so a buffer never grows
+    /// once built.
+    pub fn alloc_with(&mut self, header: MacFrame, fill: impl FnOnce(&mut Vec<u8>)) -> FrameBuf {
+        let mut arc = match self.spares.pop() {
+            Some(arc) => {
                 self.reused += 1;
-                FrameBuf(arc)
+                arc
             }
             None => {
                 self.fresh += 1;
-                FrameBuf::new(frame)
+                let mut blank = MacFrame::ack(0, false);
+                blank.payload.reserve_exact(MAX_MAC_PAYLOAD);
+                Arc::new(FrameData {
+                    frame: blank,
+                    encoded: Vec::with_capacity(MAX_MPDU),
+                })
             }
-        }
+        };
+        let d = Arc::get_mut(&mut arc).expect("spares are uniquely owned");
+        let mut payload = std::mem::take(&mut d.frame.payload);
+        payload.clear();
+        fill(&mut payload);
+        d.frame = MacFrame { payload, ..header };
+        d.frame.encode_into(&mut d.encoded);
+        FrameBuf(arc)
     }
 
     /// Returns a buffer's allocation to the free list if this was the
@@ -169,6 +191,25 @@ mod tests {
         // The recycled buffer re-encodes the NEW frame correctly.
         assert_eq!(b.encoded(), b.frame().encode().as_slice());
         assert_eq!(b.frame().payload.len(), 90);
+    }
+
+    #[test]
+    fn data_frame_on_an_ack_spare_matches_a_fresh_one() {
+        let mut pool = FramePool::new(8);
+        let ack = pool.alloc(MacFrame::ack(3, true));
+        pool.reclaim(ack);
+        let payload = vec![0x5a; MAX_MAC_PAYLOAD];
+        let mut f = data(0);
+        f.pending = true;
+        let b = pool.alloc_with(f.clone(), |p| {
+            assert!(p.is_empty() && p.capacity() >= MAX_MAC_PAYLOAD);
+            p.extend_from_slice(&payload);
+        });
+        assert_eq!(pool.reused, 1);
+        f.payload = payload;
+        let fresh = FrameBuf::new(f.clone());
+        assert_eq!(b.frame(), &f);
+        assert_eq!(b.encoded(), fresh.encoded());
     }
 
     #[test]

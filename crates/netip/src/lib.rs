@@ -9,10 +9,12 @@
 pub mod addr;
 pub mod checksum;
 pub mod ipv6;
+pub mod pool;
 pub mod queue;
 pub mod udp;
 
 pub use addr::{Ipv6Addr, NodeId};
 pub use ipv6::{Ecn, Ipv6Header, NextHeader};
+pub use pool::BufPool;
 pub use queue::{BoundedDeque, FifoQueue, QueueOutcome, RedConfig, RedQueue};
 pub use udp::UdpHeader;

@@ -93,12 +93,16 @@ impl App {
     }
 }
 
+/// One anemometer reading: an 8-byte sequence number and a pattern.
+pub type Reading = [u8; READING_BYTES];
+
 /// The anemometer sensing application (§3, §9).
 pub struct AnemometerApp {
     /// Seconds between readings (1 Hz in the paper).
     pub interval: Duration,
-    /// Application-layer queue of un-submitted readings.
-    pub queue: VecDeque<Vec<u8>>,
+    /// Application-layer queue of un-submitted readings, stored inline
+    /// so sensing allocates nothing per reading.
+    pub queue: VecDeque<Reading>,
     /// Queue capacity in readings (64 for TCP, 104 for CoAP, §9.2).
     pub queue_capacity: usize,
     /// Batch threshold: submit to the transport only when this many
@@ -139,7 +143,7 @@ impl AnemometerApp {
             self.dropped += 1;
             return;
         }
-        let mut reading = vec![0u8; READING_BYTES];
+        let mut reading = [0u8; READING_BYTES];
         reading[..8].copy_from_slice(&self.seq.to_be_bytes());
         for (i, b) in reading[8..].iter_mut().enumerate() {
             *b = (self.seq as usize + i) as u8;
@@ -163,7 +167,7 @@ impl AnemometerApp {
     }
 
     /// Pops the next reading for the transport.
-    pub fn pop_reading(&mut self) -> Option<Vec<u8>> {
+    pub fn pop_reading(&mut self) -> Option<Reading> {
         let r = self.queue.pop_front();
         if r.is_some() {
             self.submitted += 1;

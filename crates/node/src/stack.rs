@@ -11,12 +11,15 @@ use crate::supervisor::SupervisedConnection;
 use lln_coap::{CoapClient, CoapServer};
 use lln_energy::EnergyMeter;
 use lln_mac::csma::{MacConfig, TxProcess};
-use lln_mac::pool::FrameBuf;
-use lln_netip::{BoundedDeque, Ecn, FifoQueue, Ipv6Addr, Ipv6Header, NodeId, RedConfig, RedQueue};
+use lln_mac::frame::{MacFrame, MAX_MAC_PAYLOAD};
+use lln_mac::pool::{FrameBuf, FramePool};
+use lln_netip::{
+    BoundedDeque, BufPool, Ecn, FifoQueue, Ipv6Addr, Ipv6Header, NodeId, RedConfig, RedQueue,
+};
 use lln_phy::medium::TxHandle;
 use lln_sim::stats::Counters;
 use lln_sim::{Duration, EventToken, Instant};
-use lln_sixlowpan::{IphcCache, Reassembler, ReassemblyLimits};
+use lln_sixlowpan::{Fragmenter, IphcCache, Reassembler, ReassemblyLimits};
 use lln_uip::UipSocket;
 use std::collections::{HashMap, HashSet, VecDeque};
 use tcplp::mem::{IP_OVERHEAD_BYTES, MAC_FRAME_BYTES};
@@ -63,39 +66,6 @@ pub struct TransportStack {
     pub coap_client: Option<CoapClient>,
     /// CoAP server (cloud side).
     pub coap_server: Option<CoapServer>,
-}
-
-/// Free-list of reusable byte buffers for the per-segment datapath:
-/// TCP segments encode into a pooled buffer, the buffer rides the IP
-/// queue as the packet payload, and [`BufPool::put`] recycles it after
-/// the 6LoWPAN layer compresses it into a frame. Steady-state transfers
-/// therefore stop allocating per segment.
-#[derive(Debug, Default)]
-pub struct BufPool {
-    free: Vec<Vec<u8>>,
-}
-
-/// Buffers retained in the free list; beyond this they just drop.
-const BUF_POOL_CAP: usize = 16;
-
-impl BufPool {
-    /// Pops a cleared buffer, or a fresh one when the pool is empty.
-    pub fn take(&mut self) -> Vec<u8> {
-        self.free
-            .pop()
-            .map(|mut v| {
-                v.clear();
-                v
-            })
-            .unwrap_or_default()
-    }
-
-    /// Returns a buffer to the pool (capacity kept, contents ignored).
-    pub fn put(&mut self, buf: Vec<u8>) {
-        if self.free.len() < BUF_POOL_CAP {
-            self.free.push(buf);
-        }
-    }
 }
 
 /// A packet waiting at the IP layer.
@@ -285,7 +255,8 @@ pub struct Node {
     pub app: App,
 
     // --- datapath fast path ---
-    /// Reusable segment/packet buffers (see [`BufPool`]).
+    /// Reusable packet buffers: encoded segments, forwarded payloads
+    /// and reassembled datagrams (see [`BufPool`]).
     pub seg_bufs: BufPool,
     /// Per-neighbor IPHC compressed-header cache (tx fast path).
     pub iphc_cache: IphcCache,
@@ -492,6 +463,36 @@ impl Node {
         self.mac_seq
     }
 
+    /// Compresses `pkt` for its next hop through the per-neighbour
+    /// IPHC cache and fragments it straight into pooled MAC frames that
+    /// carry the frame-pending bit `pending`, handing each frame to
+    /// `emit` in order. The payload buffer goes back to
+    /// [`Node::seg_bufs`].
+    pub(crate) fn frame_packet(
+        &mut self,
+        pool: &mut FramePool,
+        pkt: OutPacket,
+        pending: bool,
+        mut emit: impl FnMut(&mut Node, FrameBuf),
+    ) {
+        let (src_l2, dst_l2) = (self.id, pkt.next_hop);
+        let mut compressed = std::mem::take(&mut self.compress_buf);
+        self.iphc_cache
+            .compress_into(&pkt.hdr, src_l2, dst_l2, &pkt.payload, &mut compressed);
+        let tag = self.next_tag();
+        let mut frags = Fragmenter::new(&compressed, tag, MAX_MAC_PAYLOAD);
+        while !frags.is_done() {
+            let mut header = MacFrame::data(src_l2, dst_l2, self.next_seq(), Vec::new());
+            header.pending = pending;
+            let frame = pool.alloc_with(header, |payload| {
+                frags.write_next(payload);
+            });
+            emit(self, frame);
+        }
+        self.compress_buf = compressed;
+        self.seg_bufs.put(pkt.payload);
+    }
+
     /// Next 6LoWPAN datagram tag.
     pub fn next_tag(&mut self) -> u16 {
         self.frag_tag = self.frag_tag.wrapping_add(1);
@@ -534,7 +535,6 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lln_mac::frame::MacFrame;
 
     fn node(kind: NodeKind) -> Node {
         Node::new(NodeId(3), kind, MacConfig::default(), Instant::ZERO)

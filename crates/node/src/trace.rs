@@ -70,8 +70,15 @@ impl PacketTrace {
         self.enabled
     }
 
-    /// Records an event (no-op when disabled).
-    pub fn record(&mut self, at: Instant, node: NodeId, dir: TraceDir, summary: impl Into<String>) {
+    /// Records an event. The summary is built only when the entry is
+    /// kept, so a disabled trace formats and allocates nothing.
+    pub fn record<S: Into<String>>(
+        &mut self,
+        at: Instant,
+        node: NodeId,
+        dir: TraceDir,
+        summary: impl FnOnce() -> S,
+    ) {
         if !self.enabled || self.entries.len() >= self.capacity {
             return;
         }
@@ -79,7 +86,7 @@ impl PacketTrace {
             at,
             node,
             dir,
-            summary: summary.into(),
+            summary: summary().into(),
         });
     }
 
@@ -192,7 +199,9 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = PacketTrace::new();
-        t.record(Instant::ZERO, NodeId(1), TraceDir::FrameTx, "x");
+        t.record(Instant::ZERO, NodeId(1), TraceDir::FrameTx, || -> String {
+            panic!("a disabled trace must not build the summary")
+        });
         assert!(t.entries().is_empty());
     }
 
@@ -200,8 +209,13 @@ mod tests {
     fn enabled_trace_records_and_dumps() {
         let mut t = PacketTrace::new();
         t.enable(10);
-        t.record(Instant::from_millis(5), NodeId(1), TraceDir::FrameTx, "hello");
-        t.record(Instant::from_millis(6), NodeId(2), TraceDir::Drop, "bad");
+        t.record(
+            Instant::from_millis(5),
+            NodeId(1),
+            TraceDir::FrameTx,
+            || "hello",
+        );
+        t.record(Instant::from_millis(6), NodeId(2), TraceDir::Drop, || "bad");
         assert_eq!(t.entries().len(), 2);
         assert_eq!(t.drop_count(), 1);
         let dump = t.dump();
@@ -215,7 +229,12 @@ mod tests {
         let mut t = PacketTrace::new();
         t.enable(3);
         for i in 0..10 {
-            t.record(Instant::from_millis(i), NodeId(1), TraceDir::FrameRx, "e");
+            t.record(
+                Instant::from_millis(i),
+                NodeId(1),
+                TraceDir::FrameRx,
+                || "e",
+            );
         }
         assert_eq!(t.entries().len(), 3);
     }
@@ -224,8 +243,8 @@ mod tests {
     fn per_node_filter() {
         let mut t = PacketTrace::new();
         t.enable(10);
-        t.record(Instant::ZERO, NodeId(1), TraceDir::FrameTx, "a");
-        t.record(Instant::ZERO, NodeId(2), TraceDir::FrameTx, "b");
+        t.record(Instant::ZERO, NodeId(1), TraceDir::FrameTx, || "a");
+        t.record(Instant::ZERO, NodeId(2), TraceDir::FrameTx, || "b");
         assert_eq!(t.for_node(NodeId(1)).count(), 1);
     }
 

@@ -11,16 +11,17 @@ use crate::fault::{FaultEvent, FaultPlan};
 use crate::route::Topology;
 use crate::stack::{CurrentTx, Node, NodeKind, OutPacket, TransportKind};
 use crate::supervisor::{SupervisedConnection, SupervisorConfig, SupervisorStats};
+use crate::trace::{summarize_frame, summarize_packet, TraceDir};
 use lln_coap::{CoapClient, CoapServer};
 use lln_energy::RadioState;
 use lln_mac::csma::{MacConfig, TxProcess, TxStep};
-use lln_mac::frame::{FrameType, MacFrame, MAX_MAC_PAYLOAD};
+use lln_mac::frame::{FrameType, MacFrame, CMD_DATA_REQUEST};
 use lln_mac::pool::{FrameBuf, FramePool};
 use lln_netip::{Ecn, Ipv6Header, NextHeader, NodeId, UdpHeader};
 use lln_phy::medium::TxHandle;
 use lln_phy::{Medium, PhyConfig, RadioIdx};
 use lln_sim::{Duration, EventQueue, Instant, Rng};
-use lln_sixlowpan::{fragment, iphc};
+use lln_sixlowpan::iphc;
 use std::collections::HashMap;
 use tcplp::{ListenStats, ListenerResponse, MemClass, NodeBudget, Segment, TcpConfig, TcpSocket};
 
@@ -140,6 +141,11 @@ pub struct World {
     pub pool: FramePool,
     /// Optional tcpdump-style event log (see [`crate::trace`]).
     pub trace: crate::trace::PacketTrace,
+    /// Reused per frame: the radios listening, then their outcomes.
+    listeners: Vec<RadioIdx>,
+    outcomes: Vec<(RadioIdx, bool)>,
+    /// Reused per transport pump: the packets the node emits.
+    tx_out: Vec<(Ipv6Header, Vec<u8>)>,
 }
 
 impl World {
@@ -207,6 +213,9 @@ impl World {
             interferer_handles: HashMap::new(),
             pool: FramePool::default(),
             trace: crate::trace::PacketTrace::new(),
+            listeners: Vec::new(),
+            outcomes: Vec::new(),
+            tx_out: Vec::new(),
         };
         // Sleepy leaves begin their poll schedule immediately (spread
         // out to avoid synchronised polls).
@@ -653,12 +662,10 @@ impl World {
             n.meter.set_radio_state(RadioState::Sleep, now);
         }
         self.sync_governor(i);
-        self.trace.record(
-            now,
-            self.nodes[i].id,
-            crate::trace::TraceDir::Drop,
-            format!("fault: reboot (down {down_for})"),
-        );
+        self.trace
+            .record(now, self.nodes[i].id, TraceDir::Drop, || {
+                format!("fault: reboot (down {down_for})")
+            });
         self.queue.schedule(now + down_for, Event::FaultRebootUp(i));
     }
 
@@ -743,12 +750,13 @@ impl World {
             self.nodes[old_parent.0 as usize].sleepy_children.remove(&id);
             self.nodes[new_parent.0 as usize].sleepy_children.insert(id);
         }
-        self.trace.record(
-            now,
-            self.nodes[i].id,
-            crate::trace::TraceDir::Forward,
-            format!("fault: route flap, parent {} -> {}", old_parent.0, new_parent.0),
-        );
+        self.trace
+            .record(now, self.nodes[i].id, TraceDir::Forward, || {
+                format!(
+                    "fault: route flap, parent {} -> {}",
+                    old_parent.0, new_parent.0
+                )
+            });
     }
 
     fn on_fault_ber_start(&mut self, i: usize, ber: f64, span: Duration, now: Instant) {
@@ -801,12 +809,10 @@ impl World {
             Some(f) => self.deliver_frame(rx, &f, now),
             None => {
                 self.nodes[rx].counters.inc("fcs_drops");
-                self.trace.record(
-                    now,
-                    self.nodes[rx].id,
-                    crate::trace::TraceDir::Drop,
-                    "FCS check failed (bit errors)",
-                );
+                self.trace
+                    .record(now, self.nodes[rx].id, TraceDir::Drop, || {
+                        "FCS check failed (bit errors)"
+                    });
             }
         }
     }
@@ -870,8 +876,12 @@ impl World {
         } else if let Some(f) = self.nodes[i].cur_packet_frames.pop_front() {
             Some(f)
         } else if let Some(pkt) = self.nodes[i].ip_queue.pop() {
-            self.fragment_packet(i, pkt);
-            self.nodes[i].cur_packet_frames.pop_front()
+            let n = &mut self.nodes[i];
+            n.frame_packet(&mut self.pool, pkt, false, |n, f| {
+                n.cur_packet_frames.push_back(f);
+            });
+            n.counters.inc("packets_tx");
+            n.cur_packet_frames.pop_front()
         } else {
             None
         };
@@ -896,28 +906,6 @@ impl World {
             handle: None,
             timer: Some(tok),
         });
-    }
-
-    /// Fragments `pkt` into MAC frames bound for its next hop. The
-    /// compressed packet is built in the node's reusable scratch buffer
-    /// via the per-neighbor IPHC header cache, and the payload buffer
-    /// is recycled into the pool once its bytes are framed.
-    fn fragment_packet(&mut self, i: usize, pkt: OutPacket) {
-        let src_l2 = self.nodes[i].id;
-        let dst_l2 = pkt.next_hop;
-        let mut compressed = std::mem::take(&mut self.nodes[i].compress_buf);
-        self.nodes[i]
-            .iphc_cache
-            .compress_into(&pkt.hdr, src_l2, dst_l2, &pkt.payload, &mut compressed);
-        let tag = self.nodes[i].next_tag();
-        for frag in fragment(&compressed, tag, MAX_MAC_PAYLOAD) {
-            let seq = self.nodes[i].next_seq();
-            let f = self.pool.alloc(MacFrame::data(src_l2, dst_l2, seq, frag.bytes));
-            self.nodes[i].cur_packet_frames.push_back(f);
-        }
-        self.nodes[i].compress_buf = compressed;
-        self.nodes[i].seg_bufs.put(pkt.payload);
-        self.nodes[i].counters.inc("packets_tx");
     }
 
     fn handle_step(&mut self, i: usize, step: TxStep, now: Instant) {
@@ -946,19 +934,13 @@ impl World {
                 self.nodes[i].transmitting = true;
                 self.nodes[i].meter.set_radio_state(RadioState::Tx, now);
                 self.nodes[i].counters.inc("frames_tx");
-                if self.trace.is_enabled() {
-                    let summary = self.nodes[i]
-                        .cur_tx
+                let n = &self.nodes[i];
+                self.trace.record(now, n.id, TraceDir::FrameTx, || {
+                    n.cur_tx
                         .as_ref()
-                        .map(|t| crate::trace::summarize_frame(t.frame.frame()))
-                        .unwrap_or_default();
-                    self.trace.record(
-                        now,
-                        self.nodes[i].id,
-                        crate::trace::TraceDir::FrameTx,
-                        summary,
-                    );
-                }
+                        .map(|t| summarize_frame(t.frame.frame()))
+                        .unwrap_or_default()
+                });
                 self.queue.schedule(start + air, Event::AirDone(i));
             }
             TxStep::AwaitAck => {
@@ -1009,19 +991,41 @@ impl World {
         self.handle_step(i, step, now);
     }
 
-    fn listeners_since(&self, start: Instant, exclude: usize) -> Vec<RadioIdx> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(j, n)| {
-                *j != exclude
-                    && n.awake
-                    && !n.transmitting
-                    && n.listen_since <= start
-                    && n.kind != NodeKind::CloudHost
-            })
-            .map(|(j, _)| RadioIdx(j))
-            .collect()
+    /// Ends node `tx`'s transmission `handle` (on the air since
+    /// `start`) and delivers `buf` to every radio that listened for the
+    /// whole frame and received it intact.
+    fn end_tx_and_deliver(
+        &mut self,
+        tx: usize,
+        handle: TxHandle,
+        start: Instant,
+        buf: &FrameBuf,
+        now: Instant,
+    ) {
+        let mut listeners = std::mem::take(&mut self.listeners);
+        listeners.clear();
+        listeners.extend(
+            self.nodes
+                .iter()
+                .enumerate()
+                .filter(|(j, n)| {
+                    *j != tx
+                        && n.awake
+                        && !n.transmitting
+                        && n.listen_since <= start
+                        && n.kind != NodeKind::CloudHost
+                })
+                .map(|(j, _)| RadioIdx(j)),
+        );
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        self.medium.end_tx_into(handle, &listeners, &mut outcomes);
+        self.listeners = listeners;
+        for &(rx, ok) in &outcomes {
+            if ok {
+                self.deliver_encoded(rx.0, buf.frame(), buf.encoded(), now);
+            }
+        }
+        self.outcomes = outcomes;
     }
 
     fn on_air_done(&mut self, i: usize, now: Instant) {
@@ -1036,14 +1040,7 @@ impl World {
         self.nodes[i].transmitting = false;
         self.nodes[i].listen_since = now;
         self.nodes[i].meter.set_radio_state(RadioState::Rx, now);
-        // Resolve deliveries.
-        let listeners = self.listeners_since(start, i);
-        let outcomes = self.medium.end_tx(handle, &listeners);
-        for (rx, ok) in outcomes {
-            if ok {
-                self.deliver_encoded(rx.0, buf.frame(), buf.encoded(), now);
-            }
-        }
+        self.end_tx_and_deliver(i, handle, start, &buf, now);
         // Advance the transmit state machine.
         let step = {
             let tx = self.nodes[i].cur_tx.as_mut().unwrap();
@@ -1073,17 +1070,17 @@ impl World {
             }
             if !ok {
                 self.nodes[i].counters.inc("frames_dropped");
-                self.trace.record(
-                    now,
-                    self.nodes[i].id,
-                    crate::trace::TraceDir::Drop,
-                    format!(
-                        "link retries exhausted: {}",
-                        crate::trace::summarize_frame(tx.frame.frame())
-                    ),
-                );
+                self.trace
+                    .record(now, self.nodes[i].id, TraceDir::Drop, || {
+                        format!(
+                            "link retries exhausted: {}",
+                            summarize_frame(tx.frame.frame())
+                        )
+                    });
                 // Losing one fragment loses the packet: discard the rest.
-                self.nodes[i].cur_packet_frames.clear();
+                for f in self.nodes[i].cur_packet_frames.drain(..) {
+                    self.pool.reclaim(f);
+                }
                 if tx.frame.frame().is_data_request() {
                     // Poll failed; go back to sleep and retry later.
                     self.nodes[i].polling = false;
@@ -1103,15 +1100,11 @@ impl World {
 
     fn deliver_frame(&mut self, i: usize, frame: &MacFrame, now: Instant) {
         self.nodes[i].meter.add_cpu(self.cfg.cpu_per_frame);
-        if self.trace.is_enabled()
-            && (frame.dst == self.nodes[i].id || frame.frame_type == FrameType::Ack)
-        {
-            self.trace.record(
-                now,
-                self.nodes[i].id,
-                crate::trace::TraceDir::FrameRx,
-                crate::trace::summarize_frame(frame),
-            );
+        if frame.dst == self.nodes[i].id || frame.frame_type == FrameType::Ack {
+            self.trace
+                .record(now, self.nodes[i].id, TraceDir::FrameRx, || {
+                    summarize_frame(frame)
+                });
         }
         match frame.frame_type {
             FrameType::Ack => self.handle_link_ack(i, frame, now),
@@ -1157,18 +1150,21 @@ impl World {
                         self.extend_poll_window_by(i, Duration::from_millis(15), now);
                     }
                 }
-                // 6LoWPAN reassembly.
-                let done = self.nodes[i]
-                    .reassembler
-                    .offer(frame.src, &frame.payload, now);
+                // 6LoWPAN reassembly into a pooled buffer, returned to
+                // the pool once the packet has been handled.
+                let n = &mut self.nodes[i];
+                let done =
+                    n.reassembler
+                        .offer_pooled(frame.src, &frame.payload, now, &mut n.seg_bufs);
                 if let Some(packet) = done {
                     if let Some((hdr, payload)) =
                         iphc::decompress_view(&packet, frame.src, frame.dst)
                     {
-                        self.handle_ip_view(i, hdr, payload, now);
+                        self.handle_ip_view(i, hdr, payload.as_slice(), now);
                     } else {
                         self.nodes[i].counters.inc("decompress_errors");
                     }
+                    self.nodes[i].seg_bufs.put(packet);
                 }
                 self.kick_mac(i, now);
                 self.maybe_sleep(i, now);
@@ -1243,13 +1239,7 @@ impl World {
         self.nodes[i].transmitting = false;
         self.nodes[i].listen_since = now;
         self.nodes[i].meter.set_radio_state(RadioState::Rx, now);
-        let listeners = self.listeners_since(start, i);
-        let outcomes = self.medium.end_tx(handle, &listeners);
-        for (rx, ok) in outcomes {
-            if ok {
-                self.deliver_encoded(rx.0, ack.frame(), ack.encoded(), now);
-            }
-        }
+        self.end_tx_and_deliver(i, handle, start, &ack, now);
         self.pool.reclaim(ack);
     }
 
@@ -1272,7 +1262,11 @@ impl World {
         };
         let seq = self.nodes[i].next_seq();
         let id = self.nodes[i].id;
-        let req = self.pool.alloc(MacFrame::data_request(id, parent, seq));
+        let req = self
+            .pool
+            .alloc_with(MacFrame::command(id, parent, seq), |p| {
+                p.push(CMD_DATA_REQUEST)
+            });
         self.nodes[i].enqueue_ctrl(req);
         // Guard window in case the poll exchange stalls entirely.
         self.extend_poll_window(i, now);
@@ -1290,33 +1284,20 @@ impl World {
         // whole indirect queue. Every frame except those of the last
         // packet carries the pending bit, so the child keeps listening
         // for the burst.
-        let Some(queue) = self.nodes[i].indirect.get_mut(&child) else {
-            return;
-        };
-        let mut packets: Vec<OutPacket> = Vec::new();
-        while let Some(pkt) = queue.pop_front() {
-            packets.push(pkt);
+        let mut framed = false;
+        loop {
+            let n = &mut self.nodes[i];
+            let Some(pkt) = n.indirect.get_mut(&child).and_then(|q| q.pop_front()) else {
+                break;
+            };
+            let pending = n.indirect.get(&child).is_some_and(|q| !q.is_empty());
+            n.frame_packet(&mut self.pool, pkt, pending, |n, f| {
+                n.enqueue_ctrl(f);
+            });
+            framed = true;
         }
-        if packets.is_empty() {
+        if !framed {
             return;
-        }
-        let src_l2 = self.nodes[i].id;
-        let last = packets.len() - 1;
-        for (k, pkt) in packets.into_iter().enumerate() {
-            let mut compressed = std::mem::take(&mut self.nodes[i].compress_buf);
-            self.nodes[i]
-                .iphc_cache
-                .compress_into(&pkt.hdr, src_l2, child, &pkt.payload, &mut compressed);
-            let tag = self.nodes[i].next_tag();
-            for frag in fragment(&compressed, tag, MAX_MAC_PAYLOAD) {
-                let seq = self.nodes[i].next_seq();
-                let mut f = MacFrame::data(src_l2, child, seq, frag.bytes);
-                f.pending = k < last;
-                let buf = self.pool.alloc(f);
-                self.nodes[i].enqueue_ctrl(buf);
-            }
-            self.nodes[i].compress_buf = compressed;
-            self.nodes[i].seg_bufs.put(pkt.payload);
         }
         self.sync_governor(i);
         self.kick_mac(i, now);
@@ -1392,82 +1373,69 @@ impl World {
         self.kick_mac(i, now);
     }
 
-    /// A full IP packet arrived at node `i` with an owned payload
-    /// (wired links and other already-materialized paths).
+    /// A full IP packet arrived over the wired link. Its buffer came
+    /// from the pool of the node at the other end of the wire and goes
+    /// back there, so asymmetric traffic cannot drain one pool while
+    /// the other overflows.
     fn handle_ip_packet(&mut self, i: usize, hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
+        self.handle_ip_view(i, hdr, &payload, now);
+        let peer = if Some(i) == self.border {
+            self.cloud
+        } else {
+            self.border
+        };
+        if let Some(p) = peer {
+            self.nodes[p].seg_bufs.put(payload);
+        }
+    }
+
+    /// A full IP packet arrived at node `i`; `payload` borrows the
+    /// receive buffer. Local delivery consumes the slice directly; only
+    /// forwarding, which must queue the bytes, copies them into a
+    /// pooled buffer.
+    fn handle_ip_view(&mut self, i: usize, hdr: Ipv6Header, payload: &[u8], now: Instant) {
         if hdr.dst == self.nodes[i].ip_addr() {
-            self.trace_deliver(i, &hdr, &payload, now);
-            self.deliver_transport(i, hdr, &payload, now);
+            self.trace_deliver(i, &hdr, payload, now);
+            self.deliver_transport(i, hdr, payload, now);
             return;
         }
         self.forward_ip(i, hdr, payload, now);
     }
 
-    /// A full IP packet arrived over the radio: the payload may borrow
-    /// the reassembled packet buffer. Local delivery consumes the
-    /// borrowed slice directly — the per-segment copy the owned path
-    /// would make never happens; only the forwarding path (which must
-    /// queue the bytes) materializes a `Vec`.
-    fn handle_ip_view(
-        &mut self,
-        i: usize,
-        hdr: Ipv6Header,
-        payload: iphc::Payload<'_>,
-        now: Instant,
-    ) {
-        if hdr.dst == self.nodes[i].ip_addr() {
-            self.trace_deliver(i, &hdr, payload.as_slice(), now);
-            self.deliver_transport(i, hdr, payload.as_slice(), now);
-            return;
-        }
-        self.forward_ip(i, hdr, payload.into_vec(), now);
-    }
-
     fn trace_deliver(&mut self, i: usize, hdr: &Ipv6Header, payload: &[u8], now: Instant) {
-        if self.trace.is_enabled() {
-            self.trace.record(
-                now,
-                self.nodes[i].id,
-                crate::trace::TraceDir::Deliver,
-                crate::trace::summarize_packet(hdr, payload),
-            );
-        }
+        self.trace
+            .record(now, self.nodes[i].id, TraceDir::Deliver, || {
+                summarize_packet(hdr, payload)
+            });
     }
 
-    /// Forwards a non-local packet toward its next hop.
-    fn forward_ip(&mut self, i: usize, mut hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
+    /// Forwards a non-local packet toward its next hop, copying the
+    /// payload into a pooled buffer once it survives the drop checks.
+    fn forward_ip(&mut self, i: usize, mut hdr: Ipv6Header, payload: &[u8], now: Instant) {
         if hdr.hop_limit <= 1 {
             self.nodes[i].counters.inc("hop_limit_drops");
-            self.trace.record(
-                now,
-                self.nodes[i].id,
-                crate::trace::TraceDir::Drop,
-                "hop limit exhausted",
-            );
+            self.trace
+                .record(now, self.nodes[i].id, TraceDir::Drop, || {
+                    "hop limit exhausted"
+                });
             return;
         }
         hdr.hop_limit -= 1;
         // Injected uniform loss (§9.4; configured on the border router).
         if self.nodes[i].inject_loss > 0.0 && self.rng.gen_bool(self.nodes[i].inject_loss) {
             self.nodes[i].counters.inc("injected_drops");
-            self.trace.record(
-                now,
-                self.nodes[i].id,
-                crate::trace::TraceDir::Drop,
-                "injected loss",
-            );
+            self.trace
+                .record(now, self.nodes[i].id, TraceDir::Drop, || "injected loss");
             return;
         }
         self.nodes[i].counters.inc("forwarded");
-        if self.trace.is_enabled() {
-            self.trace.record(
-                now,
-                self.nodes[i].id,
-                crate::trace::TraceDir::Forward,
-                crate::trace::summarize_packet(&hdr, &payload),
-            );
-        }
-        self.enqueue_ip(i, hdr, payload, now);
+        self.trace
+            .record(now, self.nodes[i].id, TraceDir::Forward, || {
+                summarize_packet(&hdr, payload)
+            });
+        let mut bytes = self.nodes[i].seg_bufs.take();
+        bytes.extend_from_slice(payload);
+        self.enqueue_ip(i, hdr, bytes, now);
     }
 
     // ------------------------------------------------------------------
@@ -1744,7 +1712,13 @@ impl World {
                 fl.stats.frags_sent += 1;
                 self.nodes[i].meter.add_cpu(self.cfg.cpu_per_frame);
                 self.nodes[i].counters.inc("flood_frags_rx");
-                let _ = self.nodes[i].reassembler.offer(src, &bytes, now);
+                let n = &mut self.nodes[i];
+                if let Some(done) = n
+                    .reassembler
+                    .offer_pooled(src, &bytes, now, &mut n.seg_bufs)
+                {
+                    n.seg_bufs.put(done);
+                }
                 self.sync_governor(i);
                 self.reschedule_transport_timer(i, now);
             }
@@ -1810,7 +1784,7 @@ impl World {
         // pass) into pooled buffers; the buffer returns to the pool
         // when the 6LoWPAN layer frames the packet.
         let my_addr = self.nodes[i].ip_addr();
-        let mut out: Vec<(Ipv6Header, Vec<u8>)> = Vec::new();
+        let mut out = std::mem::take(&mut self.tx_out);
         let mut seg_bufs = std::mem::take(&mut self.nodes[i].seg_bufs);
         for s in self.nodes[i].transport.tcp.iter_mut() {
             let ecn_data = s.ecn_active();
@@ -1824,6 +1798,7 @@ impl World {
                 let mut bytes = seg_bufs.take();
                 seg.encode_into(my_addr, raddr, &mut bytes);
                 out.push((hdr, bytes));
+                s.recycle(seg);
             }
         }
         // Listener: SYN-ACK retransmissions and half-open expiry.
@@ -1884,9 +1859,10 @@ impl World {
                 }
             }
         }
-        for (hdr, bytes) in out {
+        for (hdr, bytes) in out.drain(..) {
             self.enqueue_ip(i, hdr, bytes, now);
         }
+        self.tx_out = out;
         self.sync_governor(i);
         self.reschedule_transport_timer(i, now);
         self.kick_mac(i, now);
@@ -1920,20 +1896,16 @@ impl World {
             n.counters.add("sup_downtime_us", after.downtime_us - before.downtime_us);
         }
         if res.died {
-            self.trace.record(
-                now,
-                self.nodes[i].id,
-                crate::trace::TraceDir::Drop,
-                "supervisor: connection died",
-            );
+            self.trace
+                .record(now, self.nodes[i].id, TraceDir::Drop, || {
+                    "supervisor: connection died"
+                });
         }
         if res.reconnected {
-            self.trace.record(
-                now,
-                self.nodes[i].id,
-                crate::trace::TraceDir::Deliver,
-                "supervisor: reconnected",
-            );
+            self.trace
+                .record(now, self.nodes[i].id, TraceDir::Deliver, || {
+                    "supervisor: reconnected"
+                });
         }
         if let Some(sock) = res.replace {
             let tcp = &mut self.nodes[i].transport.tcp;
@@ -2136,9 +2108,10 @@ impl World {
                     if want == 0 || !sup.can_accept(want) {
                         break;
                     }
-                    let chunk: Vec<u8> =
-                        (0..want).map(|k| (*pattern as usize + k) as u8).collect();
+                    let mut chunk = node.seg_bufs.take();
+                    chunk.extend((0..want).map(|k| (*pattern as usize + k) as u8));
                     sup.submit(&chunk);
+                    node.seg_bufs.put(chunk);
                     *sent += want as u64;
                     *pattern = pattern.wrapping_add(want as u8);
                 }
@@ -2171,12 +2144,10 @@ impl World {
                         None => room,
                     };
                     if want > 0 {
-                        let chunk: Vec<u8> = (0..want)
-                            .map(|k| {
-                                (*pattern as usize + k) as u8
-                            })
-                            .collect();
+                        let mut chunk = node.seg_bufs.take();
+                        chunk.extend((0..want).map(|k| (*pattern as usize + k) as u8));
                         let n = sock.send(&chunk);
+                        node.seg_bufs.put(chunk);
                         *sent += n as u64;
                         *pattern = pattern.wrapping_add(n as u8);
                     }

@@ -103,18 +103,33 @@ impl Medium {
     /// - the receiver must not itself have transmitted during the frame
     ///   (half-duplex),
     /// - an independent Bernoulli(PRR) draw must succeed (fading etc.).
+    ///
+    /// Allocates the result; the event loop uses [`Medium::end_tx_into`].
     pub fn end_tx(
         &mut self,
         handle: TxHandle,
         listeners: &[RadioIdx],
     ) -> Vec<(RadioIdx, bool)> {
+        let mut out = Vec::with_capacity(listeners.len());
+        self.end_tx_into(handle, listeners, &mut out);
+        out
+    }
+
+    /// [`Medium::end_tx`] writing the outcomes into `out` (cleared
+    /// first), so a caller-owned buffer is reused across frames.
+    pub fn end_tx_into(
+        &mut self,
+        handle: TxHandle,
+        listeners: &[RadioIdx],
+        out: &mut Vec<(RadioIdx, bool)>,
+    ) {
+        out.clear();
         let rec_idx = self
             .records
             .iter()
             .position(|r| r.id == handle.0)
             .expect("unknown tx handle");
         let rec = self.records[rec_idx].clone();
-        let mut out = Vec::with_capacity(listeners.len());
         for &rx in listeners {
             if rx == rec.src {
                 continue;
@@ -149,7 +164,6 @@ impl Medium {
         }
         self.records[rec_idx].done = true;
         self.gc(rec.end);
-        out
     }
 
     /// Drops finished records that can no longer overlap anything new.

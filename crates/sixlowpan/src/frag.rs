@@ -12,7 +12,7 @@
 //! given to [`fragment`], we carry the compressed length instead; the
 //! semantics are equivalent inside one network.
 
-use lln_netip::NodeId;
+use lln_netip::{BufPool, NodeId};
 use lln_sim::{Duration, Instant};
 
 const FRAG1_DISPATCH: u8 = 0b1100_0000;
@@ -32,50 +32,94 @@ pub struct Fragment {
 
 /// Splits `packet` into fragments that each fit in `max_payload` bytes
 /// of MAC payload. Returns a single unfragmented "fragment" (no 6LoWPAN
-/// fragmentation header) when the packet fits directly.
+/// fragmentation header) when the packet fits directly. Collects the
+/// output of a [`Fragmenter`].
 pub fn fragment(packet: &[u8], tag: u16, max_payload: usize) -> Vec<Fragment> {
-    assert!(max_payload > FRAGN_HDR + 8, "frame too small to fragment into");
-    if packet.len() <= max_payload {
-        return vec![Fragment {
-            bytes: packet.to_vec(),
-        }];
-    }
-    assert!(
-        packet.len() < (1 << 11),
-        "datagram exceeds the 11-bit 6LoWPAN size field"
-    );
-    let size = packet.len() as u16;
+    let mut fragmenter = Fragmenter::new(packet, tag, max_payload);
     let mut frags = Vec::new();
-    // First fragment: payload must be a multiple of 8.
-    let first_room = (max_payload - FRAG1_HDR) & !7;
-    let mut offset = 0usize;
-    {
-        let mut b = Vec::with_capacity(FRAG1_HDR + first_room);
-        b.push(FRAG1_DISPATCH | ((size >> 8) as u8 & 0x07));
-        b.push(size as u8);
-        b.extend_from_slice(&tag.to_be_bytes());
-        b.extend_from_slice(&packet[..first_room]);
-        frags.push(Fragment { bytes: b });
-        offset += first_room;
-    }
-    while offset < packet.len() {
-        let room = (max_payload - FRAGN_HDR) & !7;
-        let remaining = packet.len() - offset;
-        let take = if remaining <= max_payload - FRAGN_HDR {
-            remaining
-        } else {
-            room
-        };
-        let mut b = Vec::with_capacity(FRAGN_HDR + take);
-        b.push(FRAGN_DISPATCH | ((size >> 8) as u8 & 0x07));
-        b.push(size as u8);
-        b.extend_from_slice(&tag.to_be_bytes());
-        b.push((offset / 8) as u8);
-        b.extend_from_slice(&packet[offset..offset + take]);
-        frags.push(Fragment { bytes: b });
-        offset += take;
+    let mut bytes = Vec::new();
+    while fragmenter.write_next(&mut bytes) {
+        frags.push(Fragment {
+            bytes: std::mem::take(&mut bytes),
+        });
     }
     frags
+}
+
+/// A borrowed fragmenter: writes each fragment of a packet — header and
+/// slice — into a buffer the caller supplies, such as a recycled frame
+/// payload, so fragmenting allocates nothing.
+#[derive(Clone, Debug)]
+pub struct Fragmenter<'a> {
+    packet: &'a [u8],
+    tag: u16,
+    max_payload: usize,
+    /// Datagram offset of the next fragment; `None` once all are out.
+    next: Option<usize>,
+}
+
+impl<'a> Fragmenter<'a> {
+    /// Prepares to fragment `packet` with datagram tag `tag` into MAC
+    /// payloads of at most `max_payload` bytes.
+    pub fn new(packet: &'a [u8], tag: u16, max_payload: usize) -> Self {
+        assert!(
+            max_payload > FRAGN_HDR + 8,
+            "frame too small to fragment into"
+        );
+        assert!(
+            packet.len() <= max_payload || packet.len() < (1 << 11),
+            "datagram exceeds the 11-bit 6LoWPAN size field"
+        );
+        Fragmenter {
+            packet,
+            tag,
+            max_payload,
+            next: Some(0),
+        }
+    }
+
+    /// True once every fragment has been written.
+    pub fn is_done(&self) -> bool {
+        self.next.is_none()
+    }
+
+    /// Appends the next fragment to `out`. Returns false, writing
+    /// nothing, once every fragment has been written.
+    pub fn write_next(&mut self, out: &mut Vec<u8>) -> bool {
+        let Some(offset) = self.next else {
+            return false;
+        };
+        let p = self.packet;
+        let take = if p.len() <= self.max_payload {
+            out.extend_from_slice(p);
+            p.len()
+        } else {
+            let size = p.len() as u16;
+            let size_hi = (size >> 8) as u8 & 0x07;
+            let take = if offset == 0 {
+                // First fragment: payload must be a multiple of 8.
+                out.push(FRAG1_DISPATCH | size_hi);
+                (self.max_payload - FRAG1_HDR) & !7
+            } else {
+                out.push(FRAGN_DISPATCH | size_hi);
+                let remaining = p.len() - offset;
+                if remaining <= self.max_payload - FRAGN_HDR {
+                    remaining
+                } else {
+                    (self.max_payload - FRAGN_HDR) & !7
+                }
+            };
+            out.push(size as u8);
+            out.extend_from_slice(&self.tag.to_be_bytes());
+            if offset > 0 {
+                out.push((offset / 8) as u8);
+            }
+            out.extend_from_slice(&p[offset..offset + take]);
+            take
+        };
+        self.next = Some(offset + take).filter(|&o| o < p.len());
+        true
+    }
 }
 
 /// Returns true when `bytes` begins with a fragmentation header
@@ -84,20 +128,33 @@ pub fn is_fragment(bytes: &[u8]) -> bool {
     matches!(bytes.first().map(|b| b >> 3), Some(0b11000) | Some(0b11100))
 }
 
+/// Words of the per-partial arrival bitmap: one bit per 8-byte unit of
+/// the largest datagram the 11-bit size field can describe (2047 B).
+const UNIT_WORDS: usize = (1 << 11) / 8 / 64;
+
 #[derive(Clone, Debug)]
 struct PartialDatagram {
     src: NodeId,
     tag: u16,
     size: usize,
     buf: Vec<u8>,
-    have: Vec<bool>, // per 8-byte unit
+    have: [u64; UNIT_WORDS], // bit per 8-byte unit
     started: Instant,
 }
 
 impl PartialDatagram {
+    fn units(&self) -> usize {
+        self.size.div_ceil(8)
+    }
+
+    fn mark(&mut self, first_unit: usize, units: usize) {
+        for u in first_unit..(first_unit + units).min(self.units()) {
+            self.have[u / 64] |= 1 << (u % 64);
+        }
+    }
+
     fn complete(&self) -> bool {
-        let units = self.size.div_ceil(8);
-        self.have[..units].iter().all(|&b| b)
+        (0..self.units()).all(|u| self.have[u / 64] & (1 << (u % 64)) != 0)
     }
 }
 
@@ -187,16 +244,36 @@ impl Reassembler {
 
     /// Offers a received MAC payload from `src`. Returns the full
     /// datagram when this fragment completes one. Non-fragment payloads
-    /// are returned immediately.
+    /// are returned immediately. Allocates every buffer; the datapath
+    /// uses [`Reassembler::offer_pooled`].
     pub fn offer(&mut self, src: NodeId, bytes: &[u8], now: Instant) -> Option<Vec<u8>> {
+        self.offer_pooled(src, bytes, now, &mut BufPool::default())
+    }
+
+    /// [`Reassembler::offer`] drawing the datagram buffer (a partial's
+    /// buffer, or the copy of a non-fragment payload) from `pool`, and
+    /// returning buffers of evicted partials to it. The caller puts the
+    /// returned datagram back into `pool` once it is done with it.
+    pub fn offer_pooled(
+        &mut self,
+        src: NodeId,
+        bytes: &[u8],
+        now: Instant,
+        pool: &mut BufPool,
+    ) -> Option<Vec<u8>> {
         self.expire(now);
+        let whole = |pool: &mut BufPool| {
+            let mut v = pool.take();
+            v.extend_from_slice(bytes);
+            Some(v)
+        };
         if bytes.len() < FRAG1_HDR || bytes[0] & 0b1100_0000 != 0b1100_0000 {
-            return Some(bytes.to_vec());
+            return whole(pool);
         }
         let is_first = bytes[0] >> 3 == 0b11000;
         let is_subseq = bytes[0] >> 3 == 0b11100;
         if !is_first && !is_subseq {
-            return Some(bytes.to_vec());
+            return whole(pool);
         }
         let size = ((usize::from(bytes[0] & 0x07)) << 8) | usize::from(bytes[1]);
         let tag = u16::from_be_bytes([bytes[2], bytes[3]]);
@@ -236,7 +313,7 @@ impl Reassembler {
                         .min_by_key(|(_, p)| p.started)
                         .map(|(i, _)| i)
                         .expect("quota reached implies partials from src");
-                    self.partials.remove(oldest);
+                    pool.put(self.partials.remove(oldest).buf);
                     self.evicted_source += 1;
                 } else if self.partials.len() >= self.limits.max_slots {
                     self.denied_slots += 1;
@@ -246,12 +323,14 @@ impl Reassembler {
                     self.denied_bytes += 1;
                     return None;
                 }
+                let mut buf = pool.take();
+                buf.resize(size, 0);
                 self.partials.push(PartialDatagram {
                     src,
                     tag,
                     size,
-                    buf: vec![0; size],
-                    have: vec![false; size.div_ceil(8)],
+                    buf,
+                    have: [0; UNIT_WORDS],
                     started: now,
                 });
                 self.partials.len() - 1
@@ -260,11 +339,7 @@ impl Reassembler {
         {
             let p = &mut self.partials[idx];
             p.buf[offset..offset + data.len()].copy_from_slice(data);
-            let first_unit = offset / 8;
-            let units = data.len().div_ceil(8);
-            for u in first_unit..(first_unit + units).min(p.have.len()) {
-                p.have[u] = true;
-            }
+            p.mark(offset / 8, data.len().div_ceil(8));
         }
         if self.partials[idx].complete() {
             let p = self.partials.remove(idx);

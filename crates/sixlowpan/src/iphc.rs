@@ -174,14 +174,14 @@ fn decompress_addr(
     l2: Option<NodeId>,
     bytes: &mut &[u8],
 ) -> Option<Ipv6Addr> {
-    let take = |bytes: &mut &[u8], n: usize| -> Option<Vec<u8>> {
+    fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
         if bytes.len() < n {
             return None;
         }
         let (head, rest) = bytes.split_at(n);
         *bytes = rest;
-        Some(head.to_vec())
-    };
+        Some(head)
+    }
     if ac == 1 {
         let prefix = prefix_for_context(cid.unwrap_or(0))?;
         match am {

@@ -14,13 +14,14 @@
 //!   class/ECN handling, and full address elision when the IID derives
 //!   from the link-layer address;
 //! - UDP next-header compression (RFC 6282 §4.3) for the CoAP stack;
-//! - fragmentation and reassembly ([`frag`]) with per-(source, tag)
+//! - fragmentation (a borrowed [`Fragmenter`] writing into caller
+//!   buffers) and reassembly ([`frag`]) with per-(source, tag)
 //!   reassembly buffers and timeouts.
 
 pub mod frag;
 pub mod iphc;
 
-pub use frag::{fragment, Fragment, Reassembler, ReassemblyLimits};
+pub use frag::{fragment, Fragment, Fragmenter, Reassembler, ReassemblyLimits};
 pub use iphc::{compress, compress_into, decompress, decompress_view, IphcCache, Payload};
 
 /// Maximum 802.15.4 MAC payload available to 6LoWPAN with the paper's
