@@ -16,10 +16,13 @@
 //! ```
 
 use lln_node::adversary::AdversaryProfile;
+use lln_node::app::InterfererApp;
+use lln_node::fault::FaultPlan;
 use lln_node::flood::FloodConfig;
 use lln_node::route::Topology;
 use lln_node::stack::NodeKind;
 use lln_node::world::{World, WorldConfig};
+use lln_phy::{LinkMatrix, RadioIdx};
 use lln_sim::{Duration, Instant};
 use tcplp::{NodeBudget, TcpConfig};
 
@@ -142,6 +145,78 @@ fn flood_run_digest(seed: u64) -> u64 {
     world_digest(&world)
 }
 
+/// Fault-path pinned-seed run over a diamond (two disjoint relay paths
+/// between server 0 and client 3, hidden from each other) plus an
+/// interferer radio (node 4) jamming relay 1 and the client. The plan
+/// reboots both relays repeatedly (some reboots cut a frame mid-air),
+/// opens bit-error bursts at the server and the client (so the FCS
+/// check runs and drops frames), blacks out the primary path and flaps
+/// the client's route onto the other relay. Besides the usual digest,
+/// the medium's frame counters and each node's bit-error counters are
+/// folded in: these are the paths no other pin covers.
+fn fault_run_digest(seed: u64) -> u64 {
+    let mut links = LinkMatrix::new(5);
+    links.set_symmetric(RadioIdx(0), RadioIdx(1), 0.999);
+    links.set_symmetric(RadioIdx(1), RadioIdx(3), 0.999);
+    links.set_symmetric(RadioIdx(0), RadioIdx(2), 0.97);
+    links.set_symmetric(RadioIdx(2), RadioIdx(3), 0.97);
+    links.set_interference(RadioIdx(4), RadioIdx(1));
+    links.set_interference(RadioIdx(4), RadioIdx(3));
+    let topo = Topology::with_shortest_paths(links);
+    let mut world = World::new(
+        &topo,
+        &[
+            NodeKind::BorderRouter,
+            NodeKind::Router,
+            NodeKind::Router,
+            NodeKind::Router,
+            NodeKind::Interferer,
+        ],
+        WorldConfig {
+            seed,
+            ..WorldConfig::default()
+        },
+    );
+    world.add_tcp_listener(SERVER, hardened_cfg());
+    world.set_sink_capture(SERVER);
+    world.add_tcp_client(CLIENT, SERVER, hardened_cfg(), Instant::from_millis(10));
+    world.set_bulk_sender(CLIENT, Some(3 * BULK_BYTES));
+    let mut plan = FaultPlan::new();
+    for k in 0..60u64 {
+        let relay = 1 + (k % 2) as usize;
+        let at = Instant::from_micros(1_500_000 + k * 487_213);
+        plan = plan.reboot(relay, at, Duration::from_millis(10 + 3 * (k % 8)));
+    }
+    plan = plan
+        .bit_error_burst(SERVER, Instant::from_secs(4), Duration::from_secs(3), 2e-4)
+        .bit_error_burst(CLIENT, Instant::from_secs(13), Duration::from_secs(3), 5e-4)
+        .blackout(1, 3, Instant::from_secs(9), Duration::from_secs(3))
+        .route_flap(CLIENT, Instant::from_millis(9_200));
+    world.apply_fault_plan(&plan);
+    let mut app = InterfererApp::office();
+    app.day_occupancy = 0.05;
+    app.night_occupancy = 0.05;
+    world.start_interferer(4, app, Instant::from_millis(500));
+    world.run_for(Duration::from_secs(120));
+
+    let m = &world.medium.counters;
+    let mut words = vec![
+        world_digest(&world),
+        m.get("frames_tx"),
+        m.get("collisions"),
+        m.get("deliveries"),
+        m.get("prr_drops"),
+    ];
+    for n in &world.nodes {
+        words.push(n.counters.get("ber_corrupted_frames"));
+        words.push(n.counters.get("fcs_drops"));
+    }
+    let fcs_drops: u64 = world.nodes.iter().map(|n| n.counters.get("fcs_drops")).sum();
+    assert!(fcs_drops > 0, "the bit-error bursts must reach the FCS check");
+    assert!(m.get("collisions") > 0, "the interferer must collide with frames");
+    fold(&words)
+}
+
 /// (seed, pinned digest) pairs captured on the pre-fast-path build.
 const CLEAN_PINS: [(u64, u64); 2] = [
     (24001, 0xe6d4_137e_3c7e_22b8),
@@ -154,6 +229,13 @@ const TORTURE_PINS: [(u64, u64); 2] = [
 const FLOOD_PINS: [(u64, u64); 2] = [
     (52001, 0x8ad6_d4c9_8be7_0082),
     (90017, 0x2af0_75b5_c307_1e94),
+];
+
+/// (seed, pinned digest) pairs captured with eager frame encoding and a
+/// medium that kept every record of the last 100 ms.
+const FAULT_PINS: [(u64, u64); 2] = [
+    (31007, 0x9010_9e4d_21e8_4a4d),
+    (64013, 0xb47b_33da_4dce_c2ce),
 ];
 
 fn check(kind: &str, pins: &[(u64, u64)], run: fn(u64) -> u64) {
@@ -186,4 +268,9 @@ fn torture_digests_are_pinned() {
 #[test]
 fn flood_digests_are_pinned() {
     check("flood", &FLOOD_PINS, flood_run_digest);
+}
+
+#[test]
+fn fault_digests_are_pinned() {
+    check("fault", &FAULT_PINS, fault_run_digest);
 }
