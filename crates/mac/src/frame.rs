@@ -55,9 +55,11 @@ pub struct MacFrame {
 pub const BROADCAST: NodeId = NodeId(0xffff);
 
 /// Byte-wise lookup table for the reflected CRC-16 below, built at
-/// compile time. Every frame encode and every per-receiver decode pays
-/// one CRC pass, so the table (vs the bit-serial loop) is one of the
-/// simulator fast path's measurable wins (see `BENCH_sim.json`).
+/// compile time. Every encode and every decode pays one CRC pass. In
+/// the simulator that is only a frame received during a bit-error
+/// burst (encoded once, decoded per receiver), because a `FrameBuf`
+/// encodes on demand and clean deliveries hand over the decoded frame;
+/// the table (vs the bit-serial loop) keeps that path cheap.
 const FCS_TABLE: [u16; 256] = {
     let mut table = [0u16; 256];
     let mut i = 0;

@@ -1,20 +1,25 @@
 //! Pooled, reference-counted frame buffers.
 //!
-//! A [`FrameBuf`] pairs a decoded [`MacFrame`] with its wire encoding,
-//! computed exactly once at construction. Cloning is a reference-count
-//! bump, so a frame can sit in the MAC queue, ride the medium, fan out
-//! to several receivers, and wait in the retransmit path without its
-//! payload or encoding ever being copied or re-derived — the same
-//! zero-copy buffering discipline TCPlp applies to its send buffer
-//! on-mote (§5 of the paper).
+//! A [`FrameBuf`] pairs a decoded [`MacFrame`] with its wire encoding.
+//! The encoding is computed on demand: the first [`FrameBuf::encoded`]
+//! call builds it and every clone shares the cached bytes. Air time and
+//! SPI cost need only [`FrameBuf::mpdu_len`], which is header
+//! arithmetic, so in a simulation the bytes (and their CRC pass) are
+//! built only for a frame that meets a bit-error burst. Cloning is a
+//! reference-count bump, so a frame can sit in the MAC queue, ride the
+//! medium, fan out to several receivers, and wait in the retransmit
+//! path without its payload or encoding ever being copied or re-derived
+//! — the same zero-copy buffering discipline TCPlp applies to its send
+//! buffer on-mote (§5 of the paper).
 //!
 //! A [`FramePool`] recycles the underlying allocations: when the last
 //! reference to a buffer is handed back via [`FramePool::reclaim`], its
-//! heap storage (the `Arc` block, the payload `Vec` and the encoding
-//! `Vec`) is reused for the next frame instead of going back to the
-//! allocator. [`FramePool::alloc_with`] writes the next frame's payload
-//! straight into the recycled payload storage, so a spare last used by
-//! an empty-payload link ACK still brings a data frame its capacity.
+//! heap storage (the `Arc` block and the payload `Vec`) is reused for
+//! the next frame instead of going back to the allocator; a stale
+//! encoding is dropped. [`FramePool::alloc_with`] writes the next
+//! frame's payload straight into the recycled payload storage, so a
+//! spare last used by an empty-payload link ACK still brings a data
+//! frame its capacity.
 //! The steady state of a busy node — one frame in flight, a handful
 //! queued — runs entirely out of the pool.
 //!
@@ -27,25 +32,26 @@
 //!   `FrameBuf` is always correct, and `reclaim` quietly declines
 //!   buffers that still have other holders.
 
-use crate::frame::{MacFrame, MAX_MAC_PAYLOAD, MAX_MPDU};
-use std::sync::Arc;
+use crate::frame::{MacFrame, MAX_MAC_PAYLOAD};
+use std::sync::{Arc, OnceLock};
 
-/// An immutable MAC frame plus its cached wire encoding.
+/// An immutable MAC frame plus its lazily built wire encoding.
 #[derive(Clone, Debug)]
 pub struct FrameBuf(Arc<FrameData>);
 
 #[derive(Debug)]
 struct FrameData {
     frame: MacFrame,
-    encoded: Vec<u8>,
+    encoded: OnceLock<Vec<u8>>,
 }
 
 impl FrameBuf {
-    /// Builds a buffer for `frame`, encoding it eagerly.
+    /// Builds a buffer for `frame`; nothing is encoded yet.
     pub fn new(frame: MacFrame) -> Self {
-        let mut encoded = Vec::with_capacity(frame.mpdu_len());
-        frame.encode_into(&mut encoded);
-        FrameBuf(Arc::new(FrameData { frame, encoded }))
+        FrameBuf(Arc::new(FrameData {
+            frame,
+            encoded: OnceLock::new(),
+        }))
     }
 
     /// The decoded frame.
@@ -53,14 +59,16 @@ impl FrameBuf {
         &self.0.frame
     }
 
-    /// The cached wire bytes (identical to `self.frame().encode()`).
+    /// The wire bytes (identical to `self.frame().encode()`), encoded
+    /// on the first call and shared by every clone afterwards.
     pub fn encoded(&self) -> &[u8] {
-        &self.0.encoded
+        self.0.encoded.get_or_init(|| self.0.frame.encode())
     }
 
-    /// Encoded MPDU length in bytes (drives air-time computation).
+    /// Encoded MPDU length in bytes (drives air-time computation),
+    /// without encoding.
     pub fn mpdu_len(&self) -> usize {
-        self.0.encoded.len()
+        self.0.frame.mpdu_len()
     }
 }
 
@@ -102,7 +110,8 @@ impl FramePool {
     /// Builds a buffer for `header` (its payload is ignored) whose
     /// payload `fill` appends to an empty, recycled payload buffer.
     /// Fresh buffers reserve a full frame, so a buffer never grows
-    /// once built.
+    /// once built. A recycled spare's old encoding is dropped; the new
+    /// frame is encoded only if someone asks for its bytes.
     pub fn alloc_with(&mut self, header: MacFrame, fill: impl FnOnce(&mut Vec<u8>)) -> FrameBuf {
         let mut arc = match self.spares.pop() {
             Some(arc) => {
@@ -115,7 +124,7 @@ impl FramePool {
                 blank.payload.reserve_exact(MAX_MAC_PAYLOAD);
                 Arc::new(FrameData {
                     frame: blank,
-                    encoded: Vec::with_capacity(MAX_MPDU),
+                    encoded: OnceLock::new(),
                 })
             }
         };
@@ -124,7 +133,7 @@ impl FramePool {
         payload.clear();
         fill(&mut payload);
         d.frame = MacFrame { payload, ..header };
-        d.frame.encode_into(&mut d.encoded);
+        d.encoded.take();
         FrameBuf(arc)
     }
 
@@ -163,10 +172,47 @@ mod tests {
     }
 
     #[test]
+    fn mpdu_len_matches_encoding_for_every_frame_type() {
+        let frames = [
+            data(0),
+            data(MAX_MAC_PAYLOAD),
+            MacFrame::data_request(NodeId(4), NodeId(1), 9),
+            MacFrame::command(NodeId(4), NodeId(1), 10),
+            MacFrame::ack(11, false),
+            MacFrame::ack(12, true),
+        ];
+        for f in frames {
+            let buf = FrameBuf::new(f);
+            let len = buf.mpdu_len();
+            assert_eq!(len, buf.encoded().len(), "{:?}", buf.frame());
+        }
+    }
+
+    #[test]
     fn clone_shares_storage() {
         let buf = FrameBuf::new(data(10));
-        let other = buf.clone();
-        assert!(std::ptr::eq(buf.encoded(), other.encoded()));
+        let others: Vec<_> = (0..3).map(|_| buf.clone()).collect();
+        // The encoding is built by whichever clone asks first...
+        let first = others[1].encoded();
+        // ...and every other holder sees those very bytes.
+        assert!(std::ptr::eq(first, buf.encoded()));
+        for o in &others {
+            assert!(std::ptr::eq(first, o.encoded()));
+        }
+    }
+
+    #[test]
+    fn recycled_spare_drops_its_stale_encoding() {
+        let mut pool = FramePool::new(8);
+        let a = pool.alloc(MacFrame::data(NodeId(1), NodeId(2), 1, vec![0x11; 60]));
+        let stale = a.encoded().to_vec();
+        pool.reclaim(a);
+        let want = MacFrame::data(NodeId(2), NodeId(3), 2, vec![0x22; 60]);
+        let b = pool.alloc(want.clone());
+        assert_eq!(pool.reused, 1);
+        assert_eq!(b.mpdu_len(), stale.len());
+        assert_ne!(b.encoded(), stale.as_slice());
+        assert_eq!(b.encoded(), want.encode().as_slice());
     }
 
     #[test]

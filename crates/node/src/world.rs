@@ -799,13 +799,14 @@ impl World {
     }
 
     /// Delivers a received transmission to `rx`, applying bit errors
-    /// when a burst is active there.
-    fn deliver_encoded(&mut self, rx: usize, frame: &MacFrame, encoded: &[u8], now: Instant) {
+    /// when a burst is active there. Only that path needs the wire
+    /// bytes; the receivers of one frame share a single encoding.
+    fn deliver_buf(&mut self, rx: usize, buf: &FrameBuf, now: Instant) {
         if self.nodes[rx].ber.is_none() {
-            self.deliver_frame(rx, frame, now);
+            self.deliver_frame(rx, buf.frame(), now);
             return;
         }
-        match self.ber_decode(rx, encoded) {
+        match self.ber_decode(rx, buf.encoded()) {
             Some(f) => self.deliver_frame(rx, &f, now),
             None => {
                 self.nodes[rx].counters.inc("fcs_drops");
@@ -895,9 +896,9 @@ impl World {
         // Load the frame into the radio (SPI + driver cost) BEFORE
         // CSMA: the radio then transmits immediately after a clear CCA,
         // as real 802.15.4 hardware does. Retries re-use the loaded
-        // frame and skip this cost. The encoding was cached when the
-        // buffer was built, so nothing is re-encoded here either.
-        let overhead = self.cfg.phy.platform_overhead(frame.encoded().len());
+        // frame and skip this cost. Only the MPDU length matters here,
+        // so nothing is encoded.
+        let overhead = self.cfg.phy.platform_overhead(frame.mpdu_len());
         self.nodes[i].meter.add_cpu(overhead);
         let tok = self.queue.schedule(now + overhead, Event::SpiDone(i));
         self.nodes[i].cur_tx = Some(CurrentTx {
@@ -923,7 +924,7 @@ impl World {
                     .nodes[i]
                     .cur_tx
                     .as_ref()
-                    .map_or(0, |t| t.frame.encoded().len());
+                    .map_or(0, |t| t.frame.mpdu_len());
                 let start = now + self.cfg.phy.turnaround;
                 let air = self.cfg.phy.air_time(len);
                 let handle = self.medium.begin_tx(RadioIdx(i), start, start + air);
@@ -1022,7 +1023,7 @@ impl World {
         self.listeners = listeners;
         for &(rx, ok) in &outcomes {
             if ok {
-                self.deliver_encoded(rx.0, buf.frame(), buf.encoded(), now);
+                self.deliver_buf(rx.0, buf, now);
             }
         }
         self.outcomes = outcomes;
@@ -1034,7 +1035,7 @@ impl World {
         };
         let Some(handle) = tx.handle else { return };
         let buf = tx.frame.clone(); // refcount bump, not a copy
-        let air = self.cfg.phy.air_time(buf.encoded().len());
+        let air = self.cfg.phy.air_time(buf.mpdu_len());
         let start = now - air;
         // Sender returns to listening.
         self.nodes[i].transmitting = false;

@@ -9,6 +9,17 @@
 //! receive state (awake, not in CSMA-deaf periods — though, per the
 //! paper's fix in §4, our MAC keeps the radio listening between CSMA
 //! attempts).
+//!
+//! # Timing invariant
+//!
+//! The caller runs [`Medium::end_tx`] at the simulated instant its
+//! record ends (the `end` given to `begin_tx`), so in time order, and
+//! never begins a transmission whose start lies before the last such
+//! instant. The world keeps this on every path, including transmissions
+//! cut by a mid-air reboot and interference bursts. It lets the medium
+//! forget a finished record once nothing live or future can overlap it
+//! (see `gc`), so each call scans only the live transmissions and the
+//! finished ones they overlap. Debug builds assert both halves.
 
 use crate::link::LinkMatrix;
 use crate::RadioIdx;
@@ -32,6 +43,9 @@ struct TxRecord {
 pub struct Medium {
     links: LinkMatrix,
     records: Vec<TxRecord>,
+    /// End of the last completed record: simulated time at the latest
+    /// `end_tx`, before which no new transmission may start.
+    last_end: Instant,
     next_id: u64,
     rng: Rng,
     /// Frame/collision counters ("frames_tx", "collisions", "prr_drops",
@@ -45,6 +59,7 @@ impl Medium {
         Medium {
             links,
             records: Vec::new(),
+            last_end: Instant::ZERO,
             next_id: 0,
             rng,
             counters: Counters::new(),
@@ -77,8 +92,14 @@ impl Medium {
         })
     }
 
-    /// Registers the start of a transmission of `air_time` duration.
+    /// Registers a transmission on the air from `now` (which may lie a
+    /// turnaround ahead of simulated time) until `end`.
     pub fn begin_tx(&mut self, src: RadioIdx, now: Instant, end: Instant) -> TxHandle {
+        debug_assert!(
+            now >= self.last_end,
+            "transmission starts at {now}, before the last end_tx at {}",
+            self.last_end
+        );
         let id = self.next_id;
         self.next_id += 1;
         self.records.push(TxRecord {
@@ -104,7 +125,9 @@ impl Medium {
     ///   (half-duplex),
     /// - an independent Bernoulli(PRR) draw must succeed (fading etc.).
     ///
-    /// Allocates the result; the event loop uses [`Medium::end_tx_into`].
+    /// Must run at the record's end time (see the module's timing
+    /// invariant). Allocates the result; the event loop uses
+    /// [`Medium::end_tx_into`].
     pub fn end_tx(
         &mut self,
         handle: TxHandle,
@@ -130,6 +153,12 @@ impl Medium {
             .position(|r| r.id == handle.0)
             .expect("unknown tx handle");
         let rec = self.records[rec_idx].clone();
+        debug_assert!(
+            rec.end >= self.last_end,
+            "end_tx out of time order: record ends at {}, last end_tx at {}",
+            rec.end,
+            self.last_end
+        );
         for &rx in listeners {
             if rx == rec.src {
                 continue;
@@ -163,19 +192,32 @@ impl Medium {
             out.push((rx, ok));
         }
         self.records[rec_idx].done = true;
-        self.gc(rec.end);
+        self.last_end = rec.end;
+        self.gc();
     }
 
-    /// Drops finished records that can no longer overlap anything new.
-    fn gc(&mut self, now: Instant) {
-        // A finished record only matters while a live record overlaps
-        // it. Keep anything ending within the last 100 ms (far beyond a
-        // frame time) and everything unfinished.
-        let horizon = now - lln_sim::Duration::from_millis(100);
-        self.records.retain(|r| !r.done || r.end >= horizon);
+    /// Drops finished records that nothing live or future can overlap.
+    ///
+    /// A finished record matters only to the collision check of a
+    /// transmission that overlaps it (clear-channel assessment ignores
+    /// finished records). By the timing invariant, a transmission not
+    /// yet begun starts at or after `last_end`, and a live one starts at
+    /// its own `start`; two records overlap only if each starts before
+    /// the other ends. So a finished record is kept only while its `end`
+    /// lies after the earlier of `last_end` and the earliest live start.
+    fn gc(&mut self) {
+        let floor = self
+            .records
+            .iter()
+            .filter(|r| !r.done)
+            .map(|r| r.start)
+            .fold(self.last_end, Instant::min);
+        self.records.retain(|r| !r.done || r.end > floor);
     }
 
-    /// Number of transmission records currently tracked (test/telemetry).
+    /// Number of transmission records currently tracked: the live ones
+    /// plus the finished ones some live transmission overlaps
+    /// (test/telemetry).
     pub fn active_records(&self) -> usize {
         self.records.len()
     }
@@ -297,10 +339,10 @@ mod tests {
             let h = m.begin_tx(RadioIdx(0), t, t + Duration::from_millis(4));
             m.end_tx(h, &[RadioIdx(1)]);
         }
-        assert!(
-            m.active_records() < 30,
-            "old records must be GC'd, have {}",
-            m.active_records()
+        assert_eq!(
+            m.active_records(),
+            0,
+            "a finished record nothing overlaps must be GC'd"
         );
     }
 }
