@@ -12,7 +12,6 @@
 use lln_mac::frame::MacFrame;
 use lln_mac::pool::{FrameBuf, FramePool};
 use lln_netip::{Ecn, Ipv6Header, NextHeader, NodeId, RedConfig, RedQueue};
-use lln_sim::queue::baseline::BaselineQueue;
 use lln_sim::{Duration, EventQueue, Instant, Rng};
 use std::hint::black_box;
 use std::time::Instant as WallInstant;
@@ -53,18 +52,12 @@ fn bench_wire_codec() {
     let encoded = seg.encode(src, dst);
     let len = encoded.len() as u64;
 
-    bench("tcp_wire/encode_462B_segment", Some(len), 100_000, || {
-        black_box(seg.encode(src, dst));
-    });
     // Single-pass serialize+checksum into a recycled buffer: the
-    // datapath fast path's tx primitive (no allocation after warmup).
+    // datapath's tx primitive (no allocation after warmup).
     let mut pooled = Vec::with_capacity(encoded.len());
     bench("tcp_wire/encode_into_pooled_462B", Some(len), 100_000, || {
         seg.encode_into(src, dst, &mut pooled);
         black_box(pooled.len());
-    });
-    bench("tcp_wire/decode_462B_segment", Some(len), 100_000, || {
-        black_box(Segment::decode(src, dst, &encoded)).unwrap();
     });
     // Borrowed-payload decode: the rx-side zero-copy primitive.
     bench("tcp_wire/decode_view_462B_segment", Some(len), 100_000, || {
@@ -78,11 +71,6 @@ fn bench_checksum() {
     bench("checksum/word_at_a_time_1KiB", Some(1024), 200_000, || {
         let mut c = Checksum::new();
         c.add_bytes(&data);
-        black_box(c.finish());
-    });
-    bench("checksum/bytewise_reference_1KiB", Some(1024), 200_000, || {
-        let mut c = Checksum::new();
-        c.add_bytes_bytewise(&data);
         black_box(c.finish());
     });
 }
@@ -184,27 +172,11 @@ fn bench_sim_primitives() {
         }
         black_box(n);
     });
-    // The wheel vs the preserved BinaryHeap+HashSet baseline under the
-    // MAC-like mix (schedule backoff + ACK timer, cancel 80% of ACK
+    // The MAC-like mix (schedule backoff + ACK timer, cancel 80% of ACK
     // timers, drain): the simulator's actual event profile, where
-    // cancels dominate. BENCH_sim.json pins the measured speedup.
+    // cancels dominate.
     bench("sim/timer_wheel_mac_mix_1k", None, 5_000, || {
         let mut q = EventQueue::<u32>::new();
-        let mut rng = Rng::new(3);
-        for i in 0..500u32 {
-            let now = q.now();
-            q.schedule(now + Duration::from_micros(128 + rng.gen_range(4872)), i);
-            let tok = q.schedule(now + Duration::from_micros(864), i);
-            if rng.gen_range(10) < 8 {
-                q.cancel(tok);
-            }
-            black_box(q.pop());
-        }
-        while q.pop().is_some() {}
-        black_box(q.len());
-    });
-    bench("sim/baseline_heap_mac_mix_1k", None, 5_000, || {
-        let mut q = BaselineQueue::<u32>::new();
         let mut rng = Rng::new(3);
         for i in 0..500u32 {
             let now = q.now();
@@ -251,20 +223,10 @@ fn bench_frame_pool() {
 }
 
 /// A full in-memory TCP transfer between two sockets (no simulator):
-/// measures raw protocol-processing throughput. Run once with header
-/// prediction on (the default) and once with it off, so the fast-path
-/// win on segment processing is visible side by side.
+/// measures raw protocol-processing throughput.
 fn bench_socket_pair() {
-    socket_pair_variant("tcp_socket_pair/transfer_50_segs_fast", true);
-    socket_pair_variant("tcp_socket_pair/transfer_50_segs_slow", false);
-}
-
-fn socket_pair_variant(name: &str, fast_path: bool) {
-    let cfg = TcpConfig {
-        header_prediction: fast_path,
-        ..TcpConfig::default()
-    };
-    bench(name, Some(50 * 462), 200, || {
+    let cfg = TcpConfig::default();
+    bench("tcp_socket_pair/transfer_50_segs", Some(50 * 462), 200, || {
         let a_addr = NodeId(1).mesh_addr();
         let b_addr = NodeId(2).mesh_addr();
         let mut client = TcpSocket::new(cfg.clone(), a_addr, 49152);

@@ -64,12 +64,6 @@ pub struct TcpConfig {
     pub challenge_ack_limit: u32,
     /// The window over which the challenge-ACK budget refills.
     pub challenge_ack_window: Duration,
-    /// Header prediction (FreeBSD fast path): steady-state pure ACKs
-    /// and in-order data bypass the general segment machine. The two
-    /// paths are behaviorally identical by construction (see the
-    /// differential test); this switch exists for that comparison and
-    /// for benchmarking, not as a feature knob.
-    pub header_prediction: bool,
 }
 
 impl Default for TcpConfig {
@@ -98,7 +92,6 @@ impl Default for TcpConfig {
             keepalive_probes: 4,
             challenge_ack_limit: 10,
             challenge_ack_window: Duration::from_secs(1),
-            header_prediction: true,
         }
     }
 }

@@ -14,8 +14,8 @@
 //! - RTT estimation with the timestamp option (RFC 7323, incl. PAWS)
 //!   and Karn's algorithm as fallback,
 //! - delayed ACKs, zero-window probes (persist timer), challenge ACKs
-//!   (RFC 5961), header prediction (FreeBSD's fast path), and optional
-//!   ECN (RFC 3168) for the RED/ECN experiments of Appendix A.
+//!   (RFC 5961), header-prediction counters (FreeBSD's predicate), and
+//!   optional ECN (RFC 3168) for the RED/ECN experiments of Appendix A.
 //!
 //! Omitted, as in the paper: window scaling, urgent pointer, TCP-MD5.
 //! Passive opens go through a bounded RFC 4987-style SYN cache in
@@ -282,13 +282,6 @@ impl TcpSocket {
         self.snd_mss
     }
 
-    /// Runtime toggle for header prediction (the taken fast path).
-    /// Exists for differential testing and benchmarking; prediction is
-    /// on by default and behaviorally identical to the general path.
-    pub fn set_header_prediction(&mut self, enabled: bool) {
-        self.cfg.header_prediction = enabled;
-    }
-
     /// Remote endpoint.
     pub fn remote(&self) -> (Ipv6Addr, u16) {
         (self.remote_addr, self.remote_port)
@@ -504,6 +497,18 @@ impl TcpSocket {
             self.ack_now = true;
         } else {
             self.stats.challenge_acks_limited += 1;
+        }
+    }
+
+    /// Half-open discovery (RFC 9293 §3.5.1): queues one keepalive-style
+    /// probe (`seq = snd_nxt - 1`) for the next [`Self::poll_transmit`].
+    /// A live peer answers with an ACK; a peer that lost the connection
+    /// (say, by rebooting) answers with an RST, which closes this side.
+    /// Call it when the peer shows signs of a new incarnation, such as a
+    /// SYN from the same address to the same port.
+    pub fn probe_half_open(&mut self) {
+        if self.state == TcpState::Established {
+            self.keep_probe_now = true;
         }
     }
 
@@ -731,18 +736,15 @@ impl TcpSocket {
             }
         }
 
-        // --- Header prediction (FreeBSD's fast path, taken) ---
+        // --- Header prediction (FreeBSD's predicate, counted) ---
         // In the established steady state almost every segment is
-        // either the next pure ACK or the next in-order data segment;
-        // both classes skip the general machine below entirely. The
-        // predicate is conservative: any miss (window change, SYN/FIN/
-        // RST/URG, out-of-order seq, old or too-new ack) falls through
-        // unchanged. A predicted pure ACK is always acceptable by the
-        // RFC 793 test (seq == rcv_nxt), and predicted data requires
-        // rcv_wnd > 0 so it is too — the short paths therefore start
-        // exactly where the general path would for these segments.
-        if self.cfg.header_prediction
-            && self.state == TcpState::Established
+        // either the next pure ACK or the next in-order data segment.
+        // The predicate is FreeBSD's: any miss (window change, SYN/FIN/
+        // RST/URG, out-of-order seq, old or too-new ack) is not counted.
+        // Matching segments are only counted; they take the general
+        // machine below like every other segment. A separate short
+        // path bought no host speed here (DESIGN.md §12).
+        if self.state == TcpState::Established
             && seg.seq == self.rcv_nxt
             && !seg.flags.intersects(Flags::FIN | Flags::SYN | Flags::RST | Flags::URG)
             && seg.flags.contains(Flags::ACK)
@@ -752,14 +754,9 @@ impl TcpSocket {
                 && seg.ack.le(self.snd_max)
                 && u32::from(seg.window) == self.snd_wnd
             {
-                self.update_ts_recent(seg, seg_len);
-                self.fast_path_ack(seg, ecn, now);
-                return;
-            }
-            if !seg.payload.is_empty() && seg.ack == self.snd_una && rcv_wnd > 0 {
-                self.update_ts_recent(seg, seg_len);
-                self.fast_path_data(seg, seg_len, ecn, now);
-                return;
+                self.stats.predicted_acks += 1;
+            } else if !seg.payload.is_empty() && seg.ack == self.snd_una && rcv_wnd > 0 {
+                self.stats.predicted_data += 1;
             }
         }
 
@@ -892,8 +889,7 @@ impl TcpSocket {
     }
 
     /// RFC 7323 §4.3: remember the peer's timestamp for segments that
-    /// cover `last_ack_sent`. Shared by the fast paths and the general
-    /// machine — both call it at the same point relative to PAWS.
+    /// cover `last_ack_sent`.
     fn update_ts_recent(&mut self, seg: SegmentView<'_>, seg_len: u32) {
         if self.ts_enabled {
             if let Some(ts) = seg.timestamps {
@@ -992,51 +988,6 @@ impl TcpSocket {
                 self.persist_backoff = 0;
                 self.persist_probes = 0;
             }
-        }
-    }
-
-    /// Fast path for a predicted pure ACK: the next in-sequence ACK of
-    /// new data with no payload, no special flags, and an unchanged
-    /// window. Runs exactly the sender-side steps the general machine
-    /// would for this segment class — persist reset, SACK ingest, ECN
-    /// echo, new-ACK processing, window bookkeeping, CE/CWR — and
-    /// skips everything else (RST/SYN/FIN handling, receive side).
-    fn fast_path_ack(&mut self, seg: SegmentView<'_>, ecn: Ecn, now: Instant) {
-        self.stats.predicted_acks += 1;
-        if self.persist_deadline.is_some() {
-            self.persist_probes = 0;
-        }
-        // The dup-ACK branch is unreachable here (ack > snd_una), but
-        // the scoreboard side effects and stats must still happen.
-        let _ = self.ingest_sack(seg);
-        self.note_ecn_echo(seg, now);
-        self.process_new_ack(seg, now);
-        self.update_send_window(seg, now);
-        if ecn == Ecn::Ce && self.ecn_enabled {
-            self.ecn_send_ece = true;
-            self.ack_now = true;
-        }
-        if self.ecn_enabled && seg.flags.contains(Flags::CWR) {
-            self.ecn_send_ece = false;
-        }
-    }
-
-    /// Fast path for predicted in-order data: the next expected segment
-    /// carrying payload with `ack == snd_una` and room in the receive
-    /// window. Appends straight to the receive buffer (bulk in-order
-    /// ingest) and schedules a delayed ACK via the normal ACK policy.
-    fn fast_path_data(&mut self, seg: SegmentView<'_>, seg_len: u32, ecn: Ecn, now: Instant) {
-        self.stats.predicted_data += 1;
-        if self.persist_deadline.is_some() {
-            self.persist_probes = 0;
-        }
-        let had_sack_news = self.ingest_sack(seg);
-        self.note_ecn_echo(seg, now);
-        self.same_ack_dup_check(seg, seg_len, had_sack_news, now);
-        self.update_send_window(seg, now);
-        self.process_payload(seg, ecn, now);
-        if self.ecn_enabled && seg.flags.contains(Flags::CWR) {
-            self.ecn_send_ece = false;
         }
     }
 

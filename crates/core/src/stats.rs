@@ -36,9 +36,9 @@ pub struct TcpStats {
     pub challenge_acks: u64,
     /// Zero-window probes sent.
     pub zero_window_probes: u64,
-    /// Segments that matched the header-prediction fast path.
+    /// Pure ACKs of new data that matched the header-prediction predicate.
     pub predicted_acks: u64,
-    /// In-sequence data segments that matched header prediction.
+    /// In-sequence data segments that matched the header-prediction predicate.
     pub predicted_data: u64,
     /// Segments dropped by PAWS (RFC 7323 timestamp check).
     pub paws_drops: u64,

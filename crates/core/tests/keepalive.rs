@@ -1,5 +1,6 @@
 //! Keepalive-timer tests: probes on idle connections, peer responses
-//! keeping the connection alive, and the drop after unanswered probes.
+//! keeping the connection alive, the drop after unanswered probes, and
+//! on-demand half-open probes.
 
 mod common;
 
@@ -141,4 +142,31 @@ fn probe_drops_only_after_configured_count() {
         TcpState::Established,
         "two lost probes of three allowed must not kill the connection"
     );
+}
+
+#[test]
+fn half_open_probe_is_reset_by_a_peer_that_lost_the_connection() {
+    // Keepalive off: without the probe, B would hold the connection
+    // forever after A forgets it.
+    let mut h = Harness::establish(TcpConfig::default(), Duration::from_millis(20));
+    let now = h.now;
+    h.b.probe_half_open();
+    let probe = h.b.poll_transmit(now).expect("probe");
+    assert_eq!(h.b.stats.keepalive_probes, 1);
+    // A rebooted peer has no socket for the probe: it answers with the
+    // RST a host sends for a segment that matches nothing.
+    let rst = tcplp::reset_for(&probe).expect("RST for the probe");
+    h.b.on_segment(&rst, lln_netip::Ecn::NotCapable, now);
+    assert_eq!(h.b.state(), TcpState::Closed);
+    assert_eq!(h.b.close_reason(), Some(CloseReason::Reset));
+}
+
+#[test]
+fn half_open_probe_of_a_live_peer_keeps_the_connection() {
+    let mut h = Harness::establish(TcpConfig::default(), Duration::from_millis(20));
+    h.b.probe_half_open();
+    h.run_for(Duration::from_secs(2));
+    assert_eq!(h.b.stats.keepalive_probes, 1);
+    assert_eq!(h.a.state(), TcpState::Established);
+    assert_eq!(h.b.state(), TcpState::Established);
 }

@@ -5,8 +5,9 @@
 mod common;
 
 use common::{Dir, Fault, Harness};
-use lln_sim::Duration;
-use tcplp::{CloseReason, Flags, TcpConfig, TcpState};
+use lln_netip::{Ecn, NodeId};
+use lln_sim::{Duration, Instant};
+use tcplp::{CloseReason, Flags, ListenSocket, TcpConfig, TcpSocket, TcpState};
 
 fn cfg() -> TcpConfig {
     TcpConfig::default()
@@ -431,6 +432,79 @@ fn header_prediction_counts_fast_path() {
         "in-order data should hit header prediction: {:?}",
         h.b.stats
     );
+}
+
+/// Exact counts right at the header-prediction predicate: in-order
+/// data and a new pure ACK each count once; a duplicate ACK, a
+/// window-changing ACK and data arriving into a zero receive window
+/// do not count.
+#[test]
+fn predicate_boundaries_match() {
+    let cfg = cfg();
+    let a_addr = NodeId(1).mesh_addr();
+    let b_addr = NodeId(2).mesh_addr();
+    let mut client = TcpSocket::new(cfg.clone(), a_addr, common::A_PORT);
+    let mut listener = ListenSocket::new(cfg.clone(), b_addr, common::B_PORT);
+    let now = Instant::ZERO;
+    client.connect(b_addr, common::B_PORT, 1000, now);
+    let syn = client.poll_transmit(now).expect("SYN");
+    let synack = listener
+        .on_segment(a_addr, &syn, 2000, now)
+        .into_reply()
+        .expect("SYN-ACK");
+    client.on_segment(&synack, Ecn::NotCapable, now);
+    let ack = client.poll_transmit(now).expect("ACK");
+    let mut server = listener
+        .on_segment(a_addr, &ack, 0, now)
+        .into_spawn()
+        .expect("spawn");
+
+    // In-order data is predicted on the receiver.
+    client.send(&[0xAA; 100]);
+    let data = client.poll_transmit(now).expect("data");
+    server.on_segment(&data, Ecn::NotCapable, now);
+    assert_eq!(server.stats.predicted_data, 1);
+
+    // The ACK for new data is predicted on the sender. Read first so
+    // the delayed ACK re-advertises the full window; a shrunken window
+    // is a deliberate predicate miss.
+    let _ = server.recv(&mut [0u8; 128]);
+    let later = now + Duration::from_millis(200);
+    server.on_timer(later); // delack fires
+    let ack = server.poll_transmit(later).expect("delayed ACK");
+    client.on_segment(&ack, Ecn::NotCapable, later);
+    assert_eq!(client.stats.predicted_acks, 1);
+
+    // A duplicate of that same ACK is not predicted (ack == snd_una).
+    client.on_segment(&ack, Ecn::NotCapable, later);
+    assert_eq!(client.stats.predicted_acks, 1, "duplicate ACK");
+
+    // A window change on an otherwise-predictable ACK is a miss: the
+    // server keeps the data unread, so its next ACK shrinks the window.
+    client.send(&[0xBB; 200]);
+    let data2 = client.poll_transmit(later).expect("more data");
+    server.on_segment(&data2, Ecn::NotCapable, later);
+    assert_eq!(server.stats.predicted_data, 2);
+    let later2 = later + Duration::from_millis(200);
+    server.on_timer(later2); // delack with shrunken window
+    let ack2 = server.poll_transmit(later2).expect("delayed ACK 2");
+    client.on_segment(&ack2, Ecn::NotCapable, later2);
+    assert_eq!(client.stats.predicted_acks, 1, "window-changing ACK");
+
+    // Fill the server's receive buffer with one in-order segment (still
+    // predicted), then offer the next in-order segment into the zero
+    // window: it matches everything but `rcv_wnd > 0` and is not counted.
+    let mut fill = data2.clone();
+    fill.seq = data2.seq + data2.payload.len() as u32;
+    fill.payload = vec![0xCC; cfg.recv_buf - data2.payload.len()];
+    server.on_segment(&fill, Ecn::NotCapable, later2);
+    assert_eq!(server.stats.predicted_data, 3);
+    let mut overflow = fill.clone();
+    overflow.seq = fill.seq + fill.payload.len() as u32;
+    overflow.payload = vec![0xDD; 10];
+    server.on_segment(&overflow, Ecn::NotCapable, later2);
+    assert_eq!(server.stats.predicted_data, 3, "data into a zero window");
+    assert_eq!(server.stats.bytes_rcvd, cfg.recv_buf as u64 + 100);
 }
 
 #[test]

@@ -26,8 +26,8 @@ impl Checksum {
     /// lands on the same value as the serial byte-pair walk. Two
     /// independent accumulators break the add→carry dependency chain
     /// so the CPU retires two 8-byte adds per cycle. The folded result
-    /// stays bit-identical to [`Checksum::add_bytes_bytewise`], the
-    /// retained reference implementation.
+    /// stays bit-identical to the serial byte-pair walk, which the unit
+    /// tests keep as the reference.
     pub fn add_bytes(&mut self, data: &[u8]) {
         #[inline(always)]
         fn add1c(acc: u64, w: u64) -> u64 {
@@ -60,19 +60,6 @@ impl Checksum {
             acc = (acc & 0xffff) + (acc >> 16);
         }
         self.sum += acc as u32;
-    }
-
-    /// Reference RFC 1071 implementation: serial byte-pair additions.
-    /// Kept (and equivalence-tested against [`Checksum::add_bytes`])
-    /// as the executable specification of the word-at-a-time fold.
-    pub fn add_bytes_bytewise(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-        }
-        if let [last] = chunks.remainder() {
-            self.sum += u32::from(u16::from_be_bytes([*last, 0]));
-        }
     }
 
     /// Folds a big-endian u16 into the checksum.
@@ -124,6 +111,18 @@ pub fn verify_upper_layer(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, payload
 mod tests {
     use super::*;
     use crate::addr::NodeId;
+
+    /// Reference RFC 1071 implementation: serial byte-pair additions,
+    /// the executable specification of the word-at-a-time fold.
+    fn add_bytes_bytewise(ck: &mut Checksum, data: &[u8]) {
+        let mut chunks = data.chunks_exact(2);
+        for c in &mut chunks {
+            ck.sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        }
+        if let [last] = chunks.remainder() {
+            ck.sum += u32::from(u16::from_be_bytes([*last, 0]));
+        }
+    }
 
     #[test]
     fn rfc1071_example() {
@@ -194,7 +193,7 @@ mod tests {
             let mut fast = Checksum::new();
             fast.add_bytes(&data);
             let mut slow = Checksum::new();
-            slow.add_bytes_bytewise(&data);
+            add_bytes_bytewise(&mut slow, &data);
             assert_eq!(fast.finish(), slow.finish(), "one-shot mismatch at len {len}");
             if len >= 4 {
                 let cut = (len / 2) & !1; // even split offset
@@ -202,7 +201,7 @@ mod tests {
                 fast2.add_bytes(&data[..cut]);
                 fast2.add_bytes(&data[cut..]);
                 let mut mixed = Checksum::new();
-                mixed.add_bytes_bytewise(&data[..cut]);
+                add_bytes_bytewise(&mut mixed, &data[..cut]);
                 mixed.add_bytes(&data[cut..]);
                 assert_eq!(fast2.finish(), slow.finish(), "split mismatch at len {len}");
                 assert_eq!(mixed.finish(), slow.finish(), "mixed mismatch at len {len}");

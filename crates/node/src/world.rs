@@ -17,7 +17,7 @@ use lln_energy::RadioState;
 use lln_mac::csma::{MacConfig, TxProcess, TxStep};
 use lln_mac::frame::{FrameType, MacFrame, CMD_DATA_REQUEST};
 use lln_mac::pool::{FrameBuf, FramePool};
-use lln_netip::{Ecn, Ipv6Header, NextHeader, NodeId, UdpHeader};
+use lln_netip::{Ecn, Ipv6Addr, Ipv6Header, NextHeader, NodeId, UdpHeader};
 use lln_phy::medium::TxHandle;
 use lln_phy::{Medium, PhyConfig, RadioIdx};
 use lln_sim::{Duration, EventQueue, Instant, Rng};
@@ -1593,6 +1593,9 @@ impl World {
             if is_syn && !self.nodes[i].governor.would_fit(MemClass::TcpBuffers, footprint) {
                 self.nodes[i].governor.note_deny(MemClass::TcpBuffers);
                 self.nodes[i].counters.inc("syn_budget_drops");
+                // The budget may be held by a child whose peer rebooted
+                // and is now dialing from a new port.
+                self.probe_children_of(i, hdr.src, seg.dst_port);
                 return;
             }
             let before = self.nodes[i]
@@ -1622,6 +1625,9 @@ impl World {
                 }
                 ListenerResponse::Spawn(sock) => {
                     if self.nodes[i].governor.try_admit(MemClass::TcpBuffers, footprint) {
+                        // A new connection from a peer that already has
+                        // one here may be its next incarnation.
+                        self.probe_children_of(i, hdr.src, seg.dst_port);
                         self.nodes[i].transport.tcp.push(*sock);
                         self.pump_transport(i, now);
                     } else {
@@ -1660,6 +1666,19 @@ impl World {
             );
             let bytes = rst.encode(hdr.dst, hdr.src);
             self.enqueue_ip(i, out_hdr, bytes, now);
+        }
+    }
+
+    /// Half-open discovery across incarnations: a peer that rebooted
+    /// dials again from a new port, and a child socket of its old
+    /// connection that only receives never notices it died. Probes
+    /// every live child of `peer` on `port`; a dead incarnation answers
+    /// with an RST, which frees the child's buffers.
+    fn probe_children_of(&mut self, i: usize, peer: Ipv6Addr, port: u16) {
+        for s in self.nodes[i].transport.tcp.iter_mut() {
+            if s.remote().0 == peer && s.local().1 == port {
+                s.probe_half_open();
+            }
         }
     }
 

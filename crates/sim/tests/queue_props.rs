@@ -1,11 +1,63 @@
 //! Property tests for the timer-wheel [`EventQueue`]: random
 //! schedule/cancel/pop interleavings, driven by a seeded [`Rng`], must
-//! produce pop sequences identical to the pre-wheel
-//! `BinaryHeap`+`HashSet` reference model ([`BaselineQueue`]), and
-//! generation-tagged tokens must never cancel across slot reuse.
+//! produce pop sequences identical to a plain reference model
+//! ([`ModelQueue`]), and generation-tagged tokens must never cancel
+//! across slot reuse.
 
-use lln_sim::queue::baseline::BaselineQueue;
-use lln_sim::{Duration, EventQueue, EventToken, Rng};
+use std::collections::BTreeMap;
+
+use lln_sim::{Duration, EventQueue, EventToken, Instant, Rng};
+
+/// The queue's ordering contract stated directly: events keyed by
+/// `(time, insertion sequence)` in an ordered map, scheduling clamped
+/// to the time of the last pop, cancellation by key removal.
+struct ModelQueue<E> {
+    events: BTreeMap<(Instant, u64), E>,
+    seq: u64,
+    now: Instant,
+}
+
+/// A [`ModelQueue`] event's key, usable for cancellation.
+type ModelToken = (Instant, u64);
+
+impl<E> ModelQueue<E> {
+    fn new() -> Self {
+        ModelQueue {
+            events: BTreeMap::new(),
+            seq: 0,
+            now: Instant::ZERO,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    fn schedule(&mut self, at: Instant, event: E) -> ModelToken {
+        let key = (at.max(self.now), self.seq);
+        self.seq += 1;
+        self.events.insert(key, event);
+        key
+    }
+
+    fn cancel(&mut self, token: ModelToken) -> bool {
+        self.events.remove(&token).is_some()
+    }
+
+    fn pop(&mut self) -> Option<(Instant, E)> {
+        let ((time, _), event) = self.events.pop_first()?;
+        self.now = time;
+        Some((time, event))
+    }
+
+    fn peek_time(&self) -> Option<Instant> {
+        self.events.keys().next().map(|&(time, _)| time)
+    }
+}
 
 /// One randomized interleaving: schedule (with a mix of near, far, and
 /// past times), cancel a random live token, or pop — mirrored on both
@@ -13,8 +65,8 @@ use lln_sim::{Duration, EventQueue, EventToken, Rng};
 fn run_interleaving(seed: u64, ops: usize, horizon_us: u64) {
     let mut rng = Rng::new(seed);
     let mut wheel: EventQueue<u64> = EventQueue::new();
-    let mut model: BaselineQueue<u64> = BaselineQueue::new();
-    let mut live: Vec<(EventToken, lln_sim::queue::baseline::BaselineToken)> = Vec::new();
+    let mut model: ModelQueue<u64> = ModelQueue::new();
+    let mut live: Vec<(EventToken, ModelToken)> = Vec::new();
     let mut next_payload = 0u64;
 
     let mut pops = 0usize;
@@ -149,8 +201,8 @@ fn wheel_matches_model_under_mac_like_load() {
     // firing, over long-lived RTO timers that usually fire.
     let mut rng = Rng::new(8_675_309);
     let mut wheel: EventQueue<(u8, u64)> = EventQueue::new();
-    let mut model: BaselineQueue<(u8, u64)> = BaselineQueue::new();
-    let mut ack_waits: Vec<(EventToken, lln_sim::queue::baseline::BaselineToken)> = Vec::new();
+    let mut model: ModelQueue<(u8, u64)> = ModelQueue::new();
+    let mut ack_waits: Vec<(EventToken, ModelToken)> = Vec::new();
     let mut n = 0u64;
     for _ in 0..3_000 {
         // Backoff/TX-done: fires within ~5 ms.
